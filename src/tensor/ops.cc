@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "tensor/simd.h"
 #include "util/logging.h"
@@ -32,13 +33,13 @@ requireRank2(const Tensor& t, const char* what)
 }
 
 /**
- * Cache-blocking factors. kKc rows of B (a kKc x kNc panel, 256 KiB at
- * kNc = 512) stay resident across the i-loop of a row chunk; a kNc
- * output-row segment (2 KiB) stays in L1 across the p-loop. Fixed
- * constants, not tuned per shape: blocking only changes *which* terms
- * are in cache, never the order terms are added per output element
- * (the fma fold documented in ops.h), so results are bit-identical to
- * an unblocked loop following the same contract.
+ * Cache-blocking factors. A kKc-deep slice of one packed B strip
+ * (kKc x kNr floats, 16 KiB) stays in L1 across the row tiles of a
+ * chunk; kNc output columns (2 KiB per row) are swept per k-panel.
+ * Fixed constants, not tuned per shape: blocking only changes *which*
+ * terms are in cache, never the order terms are added per output
+ * element (the fma fold documented in ops.h), so results are
+ * bit-identical to an unblocked loop following the same contract.
  */
 constexpr std::size_t kKc = 128;
 constexpr std::size_t kNc = 512;
@@ -56,248 +57,378 @@ rowGrain(std::size_t work_per_row)
         1, kMinWorkPerChunk / std::max<std::size_t>(work_per_row, 1));
 }
 
-/** Register-tile shape of the AVX2 microkernel: 6 rows x 16 cols. */
-constexpr std::size_t kMr = 6;
+/**
+ * Packed-B strip width. gemmBlocked copies B once per call into strips
+ * of kNr columns: the strip starting at column j0 (a multiple of kNr)
+ * is a row-major [k, kNr] block at packed + j0 * k, zero-padded past
+ * column n. Every tier reads this layout — an AVX-512 tile spans a
+ * whole strip, an AVX2 tile one 16-column half, the scalar kernel the
+ * strip's valid columns.
+ */
+constexpr std::size_t kNr = 32;
+
+/** Register-tile heights: AVX-512 8 x 32 (16 zmm accumulators). */
+constexpr std::size_t kMrAvx512 = 8;
+/** AVX2 6 x 16 (12 ymm accumulators). */
+constexpr std::size_t kMrAvx2 = 6;
 
 /**
- * Scalar GEMM block, the portable fallback. Computes, for rows
- * [i0, i1) and the (jj, pp) cache block, od[i, jj+j] (+)= sum over the
- * k-panel of fma(A(i, pp+p), b[pp+p, jj+j], acc) with A(i, p) =
- * ad[i * a_rs + p * a_cs] (a_cs = m for the transposed-A variant).
+ * GEMM row chunks hold up to kChunkTiles register tiles, so each B
+ * strip slice brought into L1 serves several tiles (what keeps a B
+ * larger than L2 fast), but are never so tall that m splits into
+ * fewer than kMinChunks chunks for the pool to spread.
+ */
+constexpr std::size_t kChunkTiles = 4;
+constexpr std::size_t kMinChunks = 16;
+
+/**
+ * The right operand as addressed in memory: B(p, j) = d[p * rs + j * cs].
+ * Row-major B has cs = 1; the transpose of a row-major [n, k] matrix
+ * (matmulTransB's b) has rs = 1, cs = k.
+ */
+struct BView
+{
+    const float* d;
+    std::size_t rs;
+    std::size_t cs;
+};
+
+/** One GEMM call's operands, shared read-only by every row chunk. */
+struct GemmArgs
+{
+    const float* a;      ///< A(i, p) = a[i * a_rs + p * a_cs]
+    std::size_t a_rs;
+    std::size_t a_cs;
+    const float* packed; ///< B in kNr-column strips (packB)
+    float* out;          ///< [m, n] row-major
+    std::size_t n;
+    std::size_t k;
+    const float* bias;   ///< last-panel bias epilogue, or nullptr
+    bool relu;
+    const float* mask;   ///< last-panel dReLU mask [m, n], or nullptr
+};
+
+/**
+ * Copy B into kNr-column strips, once per GEMM call, for every row
+ * chunk to read. Row-major B is copied strip row by strip row;
+ * transposed B is gathered from its contiguous columns in the same
+ * pass, so matmulTransB needs no separate transpose. Strips pack in
+ * parallel, one chunk owning whole strips.
  *
- * Accumulation-order contract (shared with the AVX2 kernel): per
- * output element the accumulator starts from the value in od, adds
- * terms in increasing p, each as one fused multiply-add (std::fma here
- * == vfmadd there: both correctly rounded), and stores once per
- * k-panel. When @p bias is non-null and this is the last k-panel, the
- * epilogue adds bias[j] (one plain add) and, if @p relu, clamps at
- * zero — exactly the per-element ops of addBiasRows + reluInPlace.
- * When @p mask is non-null (a [*, n] tensor addressed like od), the
- * final k-panel store keeps acc where mask[i, j] > 0 and writes +0.0f
- * otherwise — the exact ternary reluBackward would apply to the stored
- * value, so masking here instead of in a second pass changes no bits.
+ * When @p col_sum is non-null it also receives, on top of its current
+ * value, B's column sums (the fused bias gradient: B is dy in the grad
+ * GEMM). Each column adds its rows in increasing p with plain float
+ * adds — sumRows' serial per-column sequence — so the result is
+ * bitwise identical to a separate sumRows(dy, db) at any thread count.
+ *
+ * The buffer is per thread (concurrent trainer threads never share it)
+ * and persistent (the steady-state training loop reuses it instead of
+ * allocating); it stays valid until the calling thread's next GEMM.
+ */
+const float*
+packB(BView b, std::size_t k, std::size_t n, float* col_sum)
+{
+    thread_local std::vector<float> tl_packed;
+    const std::size_t strips = (n + kNr - 1) / kNr;
+    // 16 floats of slack to start the strips on a 64-byte boundary.
+    tl_packed.resize(strips * k * kNr + 16);
+    const auto base = reinterpret_cast<std::uintptr_t>(tl_packed.data());
+    float* packed = tl_packed.data() + ((64 - base % 64) % 64) / 4;
+    util::globalThreadPool().parallelFor(
+        0, strips, rowGrain(k * kNr),
+        [=](std::size_t s0, std::size_t s1) {
+            for (std::size_t s = s0; s < s1; ++s) {
+                const std::size_t j0 = s * kNr;
+                const std::size_t w = std::min(kNr, n - j0);
+                const float* RECSIM_RESTRICT src = b.d + j0 * b.cs;
+                float* RECSIM_RESTRICT dst = packed + j0 * k;
+                float* RECSIM_RESTRICT sums =
+                    col_sum != nullptr ? col_sum + j0 : nullptr;
+                for (std::size_t p = 0; p < k; ++p) {
+                    const float* RECSIM_RESTRICT bp = src + p * b.rs;
+                    float* RECSIM_RESTRICT row = dst + p * kNr;
+                    if (b.cs == 1)
+                        std::copy(bp, bp + w, row);
+                    else
+                        for (std::size_t u = 0; u < w; ++u)
+                            row[u] = bp[u * b.cs];
+                    std::fill(row + w, row + kNr, 0.0f);
+                    if (sums != nullptr)
+                        for (std::size_t u = 0; u < w; ++u)
+                            sums[u] += row[u];
+                }
+            }
+        });
+    return packed;
+}
+
+/**
+ * Scalar GEMM kernel, the portable fallback and the reference every
+ * vector tier matches. For rows [i0, i1), the valid columns of the
+ * packed strip at column @p j0 and the k-panel [pp, pp + pk):
+ * out[i, j] (+)= sum over the panel of fma(A(i, p), B(p, j), acc).
+ *
+ * Accumulation-order contract (shared with every tier): per output
+ * element the accumulator starts from the value in out, adds terms in
+ * increasing p, each as one fused multiply-add (std::fma here ==
+ * vfmadd there: both correctly rounded), and stores once per k-panel.
+ * In the last k-panel a non-null bias adds bias[j] (one plain add)
+ * and, if relu, takes std::max(acc, 0.0f) — exactly the per-element
+ * ops of addBiasRows + reluInPlace, NaN included; a non-null mask then
+ * keeps acc where mask[i, j] > 0 and writes +0.0f otherwise — the
+ * exact ternary reluBackward would apply to the stored value.
  */
 void
-gemmBlockScalar(const float* RECSIM_RESTRICT ad, std::size_t a_rs,
-                std::size_t a_cs, const float* RECSIM_RESTRICT bd,
-                float* RECSIM_RESTRICT od, std::size_t n,
-                std::size_t i0, std::size_t i1, std::size_t jj,
-                std::size_t jn, std::size_t pp, std::size_t pk,
-                std::size_t k, const float* RECSIM_RESTRICT bias,
-                bool relu, const float* RECSIM_RESTRICT mask)
+stripScalar(const GemmArgs& g, std::size_t i0, std::size_t i1,
+            std::size_t j0, std::size_t pp, std::size_t pk)
 {
-    const bool last = pp + pk == k;
-    const bool epilogue = bias != nullptr && last;
-    const bool masked = mask != nullptr && last;
+    const std::size_t w = std::min(kNr, g.n - j0);
+    const bool last = pp + pk == g.k;
+    const float* RECSIM_RESTRICT bs = g.packed + j0 * g.k + pp * kNr;
     for (std::size_t i = i0; i < i1; ++i) {
-        const float* RECSIM_RESTRICT ab = ad + i * a_rs + pp * a_cs;
-        const float* RECSIM_RESTRICT bpan = bd + pp * n + jj;
-        float* RECSIM_RESTRICT orow = od + i * n + jj;
-        const float* RECSIM_RESTRICT mrow =
-            masked ? mask + i * n + jj : nullptr;
-        for (std::size_t jt = 0; jt < jn; jt += 8) {
-            const std::size_t w = std::min<std::size_t>(8, jn - jt);
-            float acc[8];
+        const float* RECSIM_RESTRICT ai = g.a + i * g.a_rs + pp * g.a_cs;
+        float* RECSIM_RESTRICT orow = g.out + i * g.n + j0;
+        float acc[kNr];
+        for (std::size_t u = 0; u < w; ++u)
+            acc[u] = orow[u];
+        for (std::size_t p = 0; p < pk; ++p) {
+            const float av = ai[p * g.a_cs];
+            const float* RECSIM_RESTRICT brow = bs + p * kNr;
             for (std::size_t u = 0; u < w; ++u)
-                acc[u] = orow[jt + u];
-            for (std::size_t p = 0; p < pk; ++p) {
-                const float av = ab[p * a_cs];
-                const float* RECSIM_RESTRICT brow = bpan + p * n + jt;
-                for (std::size_t u = 0; u < w; ++u)
-                    acc[u] = std::fma(av, brow[u], acc[u]);
-            }
-            if (epilogue) {
-                for (std::size_t u = 0; u < w; ++u) {
-                    acc[u] += bias[jj + jt + u];
-                    if (relu)
-                        acc[u] = std::max(acc[u], 0.0f);
-                }
-            }
-            if (masked) {
-                for (std::size_t u = 0; u < w; ++u)
-                    acc[u] = mrow[jt + u] > 0.0f ? acc[u] : 0.0f;
-            }
-            for (std::size_t u = 0; u < w; ++u)
-                orow[jt + u] = acc[u];
+                acc[u] = std::fma(av, brow[u], acc[u]);
         }
+        if (last && g.bias != nullptr) {
+            for (std::size_t u = 0; u < w; ++u) {
+                acc[u] += g.bias[j0 + u];
+                if (g.relu)
+                    acc[u] = std::max(acc[u], 0.0f);
+            }
+        }
+        if (last && g.mask != nullptr) {
+            const float* RECSIM_RESTRICT mrow = g.mask + i * g.n + j0;
+            for (std::size_t u = 0; u < w; ++u)
+                acc[u] = mrow[u] > 0.0f ? acc[u] : 0.0f;
+        }
+        for (std::size_t u = 0; u < w; ++u)
+            orow[u] = acc[u];
     }
 }
 
 #if defined(RECSIM_SIMD_X86)
+
+/** All-ones in the first @p w (<= 8) lanes, for maskload/maskstore. */
+__attribute__((target("avx2,fma"))) inline __m256i
+laneMaskAvx2(std::size_t w)
+{
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(w)),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
 
 /**
- * AVX2/FMA GEMM block: kMr x 16 register tiles (12 ymm accumulators,
- * two b loads shared across the 6 rows per k step) inside the same
- * kKc x kNc cache block, with 8-wide and scalar column tails and a
- * 1-row tail; every path follows the same per-element contract as
- * gemmBlockScalar, so the two are bitwise interchangeable. The dReLU
- * mask is applied as a > 0 compare ANDed into the accumulator (dy's
- * exact bits or +0.0f per lane — what the scalar ternary stores).
+ * AVX2 register tile: R rows x 16 columns (two ymm per row, 2 B loads
+ * shared by the R rows per k step) at row @p i and column @p j, with
+ * @p bs the tile's columns in the packed strip (row stride kNr). Lanes
+ * outside @p m0 / @p m1 load as 0 and are never stored. Same
+ * per-element contract as stripScalar: the ReLU is max(zero, acc),
+ * which returns acc when acc is NaN or -0.0 — std::max(acc, 0.0f) —
+ * and the dReLU mask is a > 0 compare ANDed into acc (acc's exact bits
+ * or +0.0f per lane).
  */
+template <std::size_t R>
 __attribute__((target("avx2,fma"))) void
-gemmBlockAvx2(const float* RECSIM_RESTRICT ad, std::size_t a_rs,
-              std::size_t a_cs, const float* RECSIM_RESTRICT bd,
-              float* RECSIM_RESTRICT od, std::size_t n, std::size_t i0,
-              std::size_t i1, std::size_t jj, std::size_t jn,
-              std::size_t pp, std::size_t pk, std::size_t k,
-              const float* RECSIM_RESTRICT bias, bool relu,
-              const float* RECSIM_RESTRICT mask)
+tileAvx2(const GemmArgs& g, std::size_t i, std::size_t j,
+         const float* RECSIM_RESTRICT bs, std::size_t pp, std::size_t pk,
+         __m256i m0, __m256i m1, bool last)
 {
-    const bool last = pp + pk == k;
-    const bool epilogue = bias != nullptr && last;
-    const bool masked = mask != nullptr && last;
-    const float* RECSIM_RESTRICT bpan = bd + pp * n + jj;
-    const __m256 zero = _mm256_setzero_ps();
-
-    std::size_t i = i0;
-    for (; i + kMr <= i1; i += kMr) {
-        const float* RECSIM_RESTRICT ab = ad + i * a_rs + pp * a_cs;
-        float* RECSIM_RESTRICT obase = od + i * n + jj;
-        const float* RECSIM_RESTRICT mbase =
-            masked ? mask + i * n + jj : nullptr;
-        std::size_t jt = 0;
-        for (; jt + 16 <= jn; jt += 16) {
-            __m256 acc[kMr][2];
-            for (std::size_t r = 0; r < kMr; ++r) {
-                acc[r][0] = _mm256_loadu_ps(obase + r * n + jt);
-                acc[r][1] = _mm256_loadu_ps(obase + r * n + jt + 8);
-            }
-            for (std::size_t p = 0; p < pk; ++p) {
-                const float* RECSIM_RESTRICT brow = bpan + p * n + jt;
-                const __m256 b0 = _mm256_loadu_ps(brow);
-                const __m256 b1 = _mm256_loadu_ps(brow + 8);
-                for (std::size_t r = 0; r < kMr; ++r) {
-                    const __m256 av =
-                        _mm256_broadcast_ss(ab + r * a_rs + p * a_cs);
-                    acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
-                    acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
-                }
-            }
-            if (epilogue) {
-                const __m256 bv0 = _mm256_loadu_ps(bias + jj + jt);
-                const __m256 bv1 = _mm256_loadu_ps(bias + jj + jt + 8);
-                for (std::size_t r = 0; r < kMr; ++r) {
-                    acc[r][0] = _mm256_add_ps(acc[r][0], bv0);
-                    acc[r][1] = _mm256_add_ps(acc[r][1], bv1);
-                    if (relu) {
-                        acc[r][0] = _mm256_max_ps(acc[r][0], zero);
-                        acc[r][1] = _mm256_max_ps(acc[r][1], zero);
-                    }
-                }
-            }
-            if (masked) {
-                for (std::size_t r = 0; r < kMr; ++r) {
-                    const float* RECSIM_RESTRICT mrow =
-                        mbase + r * n + jt;
-                    acc[r][0] = _mm256_and_ps(
-                        _mm256_cmp_ps(_mm256_loadu_ps(mrow), zero,
-                                      _CMP_GT_OQ),
-                        acc[r][0]);
-                    acc[r][1] = _mm256_and_ps(
-                        _mm256_cmp_ps(_mm256_loadu_ps(mrow + 8), zero,
-                                      _CMP_GT_OQ),
-                        acc[r][1]);
-                }
-            }
-            for (std::size_t r = 0; r < kMr; ++r) {
-                _mm256_storeu_ps(obase + r * n + jt, acc[r][0]);
-                _mm256_storeu_ps(obase + r * n + jt + 8, acc[r][1]);
-            }
-        }
-        for (; jt + 8 <= jn; jt += 8) {
-            __m256 acc[kMr];
-            for (std::size_t r = 0; r < kMr; ++r)
-                acc[r] = _mm256_loadu_ps(obase + r * n + jt);
-            for (std::size_t p = 0; p < pk; ++p) {
-                const __m256 b0 = _mm256_loadu_ps(bpan + p * n + jt);
-                for (std::size_t r = 0; r < kMr; ++r) {
-                    const __m256 av =
-                        _mm256_broadcast_ss(ab + r * a_rs + p * a_cs);
-                    acc[r] = _mm256_fmadd_ps(av, b0, acc[r]);
-                }
-            }
-            if (epilogue) {
-                const __m256 bv = _mm256_loadu_ps(bias + jj + jt);
-                for (std::size_t r = 0; r < kMr; ++r) {
-                    acc[r] = _mm256_add_ps(acc[r], bv);
-                    if (relu)
-                        acc[r] = _mm256_max_ps(acc[r], zero);
-                }
-            }
-            if (masked) {
-                for (std::size_t r = 0; r < kMr; ++r)
-                    acc[r] = _mm256_and_ps(
-                        _mm256_cmp_ps(
-                            _mm256_loadu_ps(mbase + r * n + jt), zero,
-                            _CMP_GT_OQ),
-                        acc[r]);
-            }
-            for (std::size_t r = 0; r < kMr; ++r)
-                _mm256_storeu_ps(obase + r * n + jt, acc[r]);
-        }
-        if (jt < jn)
-            gemmBlockScalar(ad, a_rs, a_cs, bd, od, n, i, i + kMr,
-                            jj + jt, jn - jt, pp, pk, k, bias, relu,
-                            mask);
+    const float* RECSIM_RESTRICT ai = g.a + i * g.a_rs + pp * g.a_cs;
+    float* RECSIM_RESTRICT o = g.out + i * g.n + j;
+    const std::size_t n = g.n;
+    __m256 acc[R][2];
+    for (std::size_t r = 0; r < R; ++r) {
+        acc[r][0] = _mm256_maskload_ps(o + r * n, m0);
+        acc[r][1] = _mm256_maskload_ps(o + r * n + 8, m1);
     }
-    for (; i < i1; ++i) {
-        const float* RECSIM_RESTRICT ab = ad + i * a_rs + pp * a_cs;
-        float* RECSIM_RESTRICT orow = od + i * n + jj;
-        const float* RECSIM_RESTRICT mrow =
-            masked ? mask + i * n + jj : nullptr;
-        std::size_t jt = 0;
-        for (; jt + 16 <= jn; jt += 16) {
-            __m256 a0 = _mm256_loadu_ps(orow + jt);
-            __m256 a1 = _mm256_loadu_ps(orow + jt + 8);
-            for (std::size_t p = 0; p < pk; ++p) {
-                const float* RECSIM_RESTRICT brow = bpan + p * n + jt;
-                const __m256 av =
-                    _mm256_broadcast_ss(ab + p * a_cs);
-                a0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow), a0);
-                a1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + 8),
-                                     a1);
-            }
-            if (epilogue) {
-                a0 = _mm256_add_ps(a0, _mm256_loadu_ps(bias + jj + jt));
-                a1 = _mm256_add_ps(a1,
-                                   _mm256_loadu_ps(bias + jj + jt + 8));
-                if (relu) {
-                    a0 = _mm256_max_ps(a0, zero);
-                    a1 = _mm256_max_ps(a1, zero);
-                }
-            }
-            if (masked) {
-                a0 = _mm256_and_ps(
-                    _mm256_cmp_ps(_mm256_loadu_ps(mrow + jt), zero,
-                                  _CMP_GT_OQ),
-                    a0);
-                a1 = _mm256_and_ps(
-                    _mm256_cmp_ps(_mm256_loadu_ps(mrow + jt + 8), zero,
-                                  _CMP_GT_OQ),
-                    a1);
-            }
-            _mm256_storeu_ps(orow + jt, a0);
-            _mm256_storeu_ps(orow + jt + 8, a1);
+    for (std::size_t p = 0; p < pk; ++p) {
+        const __m256 b0 = _mm256_loadu_ps(bs + p * kNr);
+        const __m256 b1 = _mm256_loadu_ps(bs + p * kNr + 8);
+        for (std::size_t r = 0; r < R; ++r) {
+            const __m256 av =
+                _mm256_broadcast_ss(ai + r * g.a_rs + p * g.a_cs);
+            acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
+            acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
         }
-        if (jt < jn)
-            gemmBlockScalar(ad, a_rs, a_cs, bd, od, n, i, i + 1,
-                            jj + jt, jn - jt, pp, pk, k, bias, relu,
-                            mask);
+    }
+    const __m256 zero = _mm256_setzero_ps();
+    if (last && g.bias != nullptr) {
+        const __m256 bv0 = _mm256_maskload_ps(g.bias + j, m0);
+        const __m256 bv1 = _mm256_maskload_ps(g.bias + j + 8, m1);
+        for (std::size_t r = 0; r < R; ++r) {
+            acc[r][0] = _mm256_add_ps(acc[r][0], bv0);
+            acc[r][1] = _mm256_add_ps(acc[r][1], bv1);
+            if (g.relu) {
+                acc[r][0] = _mm256_max_ps(zero, acc[r][0]);
+                acc[r][1] = _mm256_max_ps(zero, acc[r][1]);
+            }
+        }
+    }
+    if (last && g.mask != nullptr) {
+        for (std::size_t r = 0; r < R; ++r) {
+            const float* RECSIM_RESTRICT mrow = g.mask + (i + r) * n + j;
+            acc[r][0] = _mm256_and_ps(
+                _mm256_cmp_ps(_mm256_maskload_ps(mrow, m0), zero,
+                              _CMP_GT_OQ),
+                acc[r][0]);
+            acc[r][1] = _mm256_and_ps(
+                _mm256_cmp_ps(_mm256_maskload_ps(mrow + 8, m1), zero,
+                              _CMP_GT_OQ),
+                acc[r][1]);
+        }
+    }
+    for (std::size_t r = 0; r < R; ++r) {
+        _mm256_maskstore_ps(o + r * n, m0, acc[r][0]);
+        _mm256_maskstore_ps(o + r * n + 8, m1, acc[r][1]);
     }
 }
 
-#endif // RECSIM_SIMD_X86
+/** The R-row AVX2 tile for a row tail of @p rows (< kMrAvx2) rows. */
+template <std::size_t R>
+__attribute__((target("avx2,fma"))) void
+tailAvx2(std::size_t rows, const GemmArgs& g, std::size_t i,
+         std::size_t j, const float* bs, std::size_t pp, std::size_t pk,
+         __m256i m0, __m256i m1, bool last)
+{
+    if (rows == R)
+        tileAvx2<R>(g, i, j, bs, pp, pk, m0, m1, last);
+    else if constexpr (R > 1)
+        tailAvx2<R - 1>(rows, g, i, j, bs, pp, pk, m0, m1, last);
+}
 
-#if defined(RECSIM_SIMD_X86)
+/** AVX2 tier: stripScalar's contract in kMrAvx2 x 16 tiles. */
+__attribute__((target("avx2,fma"))) void
+stripAvx2(const GemmArgs& g, std::size_t i0, std::size_t i1,
+          std::size_t j0, std::size_t pp, std::size_t pk)
+{
+    const std::size_t w = std::min(kNr, g.n - j0);
+    const bool last = pp + pk == g.k;
+    for (std::size_t h = 0; h < w; h += 16) {
+        const std::size_t wh = std::min<std::size_t>(16, w - h);
+        const __m256i m0 = laneMaskAvx2(std::min<std::size_t>(wh, 8));
+        const __m256i m1 = laneMaskAvx2(wh > 8 ? wh - 8 : 0);
+        const float* bs = g.packed + j0 * g.k + pp * kNr + h;
+        std::size_t i = i0;
+        for (; i + kMrAvx2 <= i1; i += kMrAvx2)
+            tileAvx2<kMrAvx2>(g, i, j0 + h, bs, pp, pk, m0, m1, last);
+        if (i < i1)
+            tailAvx2<kMrAvx2 - 1>(i1 - i, g, i, j0 + h, bs, pp, pk, m0,
+                                  m1, last);
+    }
+}
+
+/**
+ * AVX-512 register tile: R rows x 32 columns — one whole packed strip,
+ * two zmm per row, 2 B loads shared by the R rows per k step. Columns
+ * outside @p m0 / @p m1 load as 0 and are never stored. Same
+ * per-element contract as stripScalar: ReLU is max(zero, acc) (acc on
+ * NaN and on ±0 ties — std::max(acc, 0.0f); the maskz form avoids
+ * GCC 12's -Wmaybe-uninitialized inside _mm512_max_ps), and the dReLU
+ * mask keeps acc's bits where mask > 0, +0.0f elsewhere.
+ */
+template <std::size_t R>
+__attribute__((target("avx512f"))) void
+tileAvx512(const GemmArgs& g, std::size_t i, std::size_t j0,
+           const float* RECSIM_RESTRICT bs, std::size_t pp,
+           std::size_t pk, __mmask16 m0, __mmask16 m1, bool last)
+{
+    const float* RECSIM_RESTRICT ai = g.a + i * g.a_rs + pp * g.a_cs;
+    float* RECSIM_RESTRICT o = g.out + i * g.n + j0;
+    const std::size_t n = g.n;
+    __m512 acc[R][2];
+    for (std::size_t r = 0; r < R; ++r) {
+        acc[r][0] = _mm512_maskz_loadu_ps(m0, o + r * n);
+        acc[r][1] = _mm512_maskz_loadu_ps(m1, o + r * n + 16);
+    }
+    for (std::size_t p = 0; p < pk; ++p) {
+        const __m512 b0 = _mm512_loadu_ps(bs + p * kNr);
+        const __m512 b1 = _mm512_loadu_ps(bs + p * kNr + 16);
+        for (std::size_t r = 0; r < R; ++r) {
+            const __m512 av = _mm512_set1_ps(ai[r * g.a_rs + p * g.a_cs]);
+            acc[r][0] = _mm512_fmadd_ps(av, b0, acc[r][0]);
+            acc[r][1] = _mm512_fmadd_ps(av, b1, acc[r][1]);
+        }
+    }
+    const __m512 zero = _mm512_setzero_ps();
+    if (last && g.bias != nullptr) {
+        const __m512 bv0 = _mm512_maskz_loadu_ps(m0, g.bias + j0);
+        const __m512 bv1 = _mm512_maskz_loadu_ps(m1, g.bias + j0 + 16);
+        for (std::size_t r = 0; r < R; ++r) {
+            acc[r][0] = _mm512_add_ps(acc[r][0], bv0);
+            acc[r][1] = _mm512_add_ps(acc[r][1], bv1);
+            if (g.relu) {
+                acc[r][0] = _mm512_maskz_max_ps(0xFFFF, zero, acc[r][0]);
+                acc[r][1] = _mm512_maskz_max_ps(0xFFFF, zero, acc[r][1]);
+            }
+        }
+    }
+    if (last && g.mask != nullptr) {
+        for (std::size_t r = 0; r < R; ++r) {
+            const float* RECSIM_RESTRICT mrow = g.mask + (i + r) * n + j0;
+            acc[r][0] = _mm512_maskz_mov_ps(
+                _mm512_cmp_ps_mask(_mm512_maskz_loadu_ps(m0, mrow), zero,
+                                   _CMP_GT_OQ),
+                acc[r][0]);
+            acc[r][1] = _mm512_maskz_mov_ps(
+                _mm512_cmp_ps_mask(_mm512_maskz_loadu_ps(m1, mrow + 16),
+                                   zero, _CMP_GT_OQ),
+                acc[r][1]);
+        }
+    }
+    for (std::size_t r = 0; r < R; ++r) {
+        _mm512_mask_storeu_ps(o + r * n, m0, acc[r][0]);
+        _mm512_mask_storeu_ps(o + r * n + 16, m1, acc[r][1]);
+    }
+}
+
+/** The R-row AVX-512 tile for a row tail of @p rows (< kMrAvx512). */
+template <std::size_t R>
+__attribute__((target("avx512f"))) void
+tailAvx512(std::size_t rows, const GemmArgs& g, std::size_t i,
+           std::size_t j0, const float* bs, std::size_t pp,
+           std::size_t pk, __mmask16 m0, __mmask16 m1, bool last)
+{
+    if (rows == R)
+        tileAvx512<R>(g, i, j0, bs, pp, pk, m0, m1, last);
+    else if constexpr (R > 1)
+        tailAvx512<R - 1>(rows, g, i, j0, bs, pp, pk, m0, m1, last);
+}
+
+/** AVX-512 tier: stripScalar's contract in kMrAvx512 x 32 tiles. */
+__attribute__((target("avx512f"))) void
+stripAvx512(const GemmArgs& g, std::size_t i0, std::size_t i1,
+            std::size_t j0, std::size_t pp, std::size_t pk)
+{
+    const std::size_t w = std::min(kNr, g.n - j0);
+    const bool last = pp + pk == g.k;
+    const auto lanes = [](std::size_t c) {
+        return static_cast<__mmask16>(c >= 16 ? 0xFFFFu
+                                              : (1u << c) - 1u);
+    };
+    const __mmask16 m0 = lanes(std::min<std::size_t>(w, 16));
+    const __mmask16 m1 = lanes(w > 16 ? w - 16 : 0);
+    const float* bs = g.packed + j0 * g.k + pp * kNr;
+    std::size_t i = i0;
+    for (; i + kMrAvx512 <= i1; i += kMrAvx512)
+        tileAvx512<kMrAvx512>(g, i, j0, bs, pp, pk, m0, m1, last);
+    if (i < i1)
+        tailAvx512<kMrAvx512 - 1>(i1 - i, g, i, j0, bs, pp, pk, m0, m1,
+                                  last);
+}
 
 /**
  * Column-tiled row reduction: 32-column register tiles accumulated
  * across all rows before one store, instead of a read-modify-write of
  * od per (row, column). Each column still adds its rows in increasing
  * i with plain float adds — the exact per-element ops of the scalar
- * loop — so the paths are bitwise interchangeable. Shared by sumRows
- * (full matrix, column-parallel) and the fused bias-grad reduction in
- * gemmBlocked (one k-panel at a time, rows still increasing overall).
+ * loop — so the paths are bitwise interchangeable.
  */
 __attribute__((target("avx2"))) void
 sumRowsAvx2(const float* RECSIM_RESTRICT xd, float* RECSIM_RESTRICT od,
@@ -355,86 +486,67 @@ sumRowsScalar(const float* RECSIM_RESTRICT xd,
     }
 }
 
-/** Dispatching panel column-sum: od[j0..j1) += column sums of xd. */
-void
-colSumPanel(const float* RECSIM_RESTRICT xd, float* RECSIM_RESTRICT od,
-            std::size_t rows, std::size_t cols, std::size_t j0,
-            std::size_t j1)
-{
-#if defined(RECSIM_SIMD_X86)
-    if (simd::enabled()) {
-        sumRowsAvx2(xd, od, rows, cols, j0, j1);
-        return;
-    }
-#endif
-    sumRowsScalar(xd, od, rows, cols, j0, j1);
-}
-
 /**
- * The shared GEMM core: od[m, n] (+)= A[m, k] * bd[k, n], blocked
- * kKc x kNc, row-parallel, with A(i, p) = ad[i * a_rs + p * a_cs] so
- * the same core serves matmul (a_rs = k, a_cs = 1) and matmulTransA
- * (a_rs = 1, a_cs = m). od must be zeroed (or hold the value being
- * accumulated into). When @p bias is non-null the bias(+relu) epilogue
- * runs inside the final k-panel store; when @p mask is non-null the
- * dReLU mask is applied there too. Per output element the k terms are
- * added in increasing p, one fma each (see ops.h contract), so
- * blocking, register tiling, vector width and threading change nothing
- * bitwise.
- *
- * When @p col_sum is non-null it receives, on top of its current
- * value, the column sums of bd (the fused bias gradient: bd is dy in
- * the grad GEMM). The chunk that owns row 0 performs the whole
- * reduction while its k-panels stream through bd anyway: for each jj
- * column block, panels arrive in increasing pp, and within a panel
- * rows are added in increasing order — per column exactly sumRows'
- * serial add sequence, hence bitwise identical to a separate
- * sumRows(dy, db), at any thread count.
+ * The shared GEMM core: od[m, n] (+)= A[m, k] * B[k, n], with
+ * A(i, p) = ad[i * a_rs + p * a_cs] (matmul: a_rs = k, a_cs = 1;
+ * matmulTransA: a_rs = 1, a_cs = m) and B addressed by @p b. B is
+ * packed once (packB, which also folds @p col_sum), then row chunks
+ * sweep kNc column blocks, kKc k-panels and kNr strips, running the
+ * active tier's register tiles down the chunk's rows. od must be
+ * zeroed (or hold the value being accumulated into). A non-null
+ * @p bias runs the bias(+relu) epilogue and a non-null @p mask the
+ * dReLU mask inside the final k-panel store. Per output element the k
+ * terms are added in increasing p, one fma each (see ops.h contract),
+ * so packing, blocking, register tiling, tier and threading change
+ * nothing bitwise.
  */
 void
-gemmBlocked(const float* RECSIM_RESTRICT ad, std::size_t a_rs,
-            std::size_t a_cs, const float* RECSIM_RESTRICT bd,
-            float* RECSIM_RESTRICT od, std::size_t m, std::size_t k,
-            std::size_t n, const float* RECSIM_RESTRICT bias = nullptr,
-            bool relu = false,
-            const float* RECSIM_RESTRICT mask = nullptr,
-            float* RECSIM_RESTRICT col_sum = nullptr)
+gemmBlocked(const float* ad, std::size_t a_rs, std::size_t a_cs,
+            BView b, float* od, std::size_t m, std::size_t k,
+            std::size_t n, const float* bias = nullptr,
+            bool relu = false, const float* mask = nullptr,
+            float* col_sum = nullptr)
 {
-    // At least kMr rows per chunk so the register tile stays full;
-    // grain only changes which rows share a chunk, never the result.
-    const std::size_t grain =
-        std::max<std::size_t>(rowGrain(2 * k * n), kMr);
-    util::globalThreadPool().parallelFor(
-        0, m, grain, [=](std::size_t i0, std::size_t i1) {
-            for (std::size_t jj = 0; jj < n; jj += kNc) {
-                const std::size_t jn = std::min(kNc, n - jj);
-                for (std::size_t pp = 0; pp < k; pp += kKc) {
-                    const std::size_t pk = std::min(kKc, k - pp);
-                    if (col_sum != nullptr && i0 == 0)
-                        colSumPanel(bd + pp * n, col_sum, pk, n, jj,
-                                    jj + jn);
+    using StripKernel = void (*)(const GemmArgs&, std::size_t,
+                                 std::size_t, std::size_t, std::size_t,
+                                 std::size_t);
+    StripKernel kernel = stripScalar;
+    std::size_t tile_rows = 1;
 #if defined(RECSIM_SIMD_X86)
-                    if (simd::enabled()) {
-                        gemmBlockAvx2(ad, a_rs, a_cs, bd, od, n, i0,
-                                      i1, jj, jn, pp, pk, k, bias,
-                                      relu, mask);
-                        continue;
-                    }
+    switch (simd::activeTier()) {
+    case simd::Tier::kAvx512:
+        kernel = stripAvx512;
+        tile_rows = kMrAvx512;
+        break;
+    case simd::Tier::kAvx2:
+        kernel = stripAvx2;
+        tile_rows = kMrAvx2;
+        break;
+    case simd::Tier::kScalar:
+        break;
+    }
 #endif
-                    gemmBlockScalar(ad, a_rs, a_cs, bd, od, n, i0, i1,
-                                    jj, jn, pp, pk, k, bias, relu,
-                                    mask);
+    const GemmArgs g{ad, a_rs, a_cs, packB(b, k, n, col_sum), od, n, k,
+                     bias, relu, mask};
+    // Whole register tiles per chunk; grain only changes which rows
+    // share a chunk, never the result.
+    const std::size_t rows =
+        std::max({rowGrain(2 * k * n),
+                  std::min(kChunkTiles * tile_rows, m / kMinChunks),
+                  tile_rows});
+    const std::size_t grain = (rows + tile_rows - 1) / tile_rows * tile_rows;
+    util::globalThreadPool().parallelFor(
+        0, m, grain, [&g, kernel](std::size_t i0, std::size_t i1) {
+            for (std::size_t jj = 0; jj < g.n; jj += kNc) {
+                const std::size_t jend = std::min(g.n, jj + kNc);
+                for (std::size_t pp = 0; pp < g.k; pp += kKc) {
+                    const std::size_t pk = std::min(kKc, g.k - pp);
+                    for (std::size_t j0 = jj; j0 < jend; j0 += kNr)
+                        kernel(g, i0, i1, j0, pp, pk);
                 }
             }
         });
 }
-
-/**
- * Per-thread transpose scratch for matmulTransB. Thread-local so
- * concurrent trainer threads never share it, persistent so the
- * steady-state training loop reuses the buffer instead of allocating.
- */
-thread_local Tensor tl_transpose_scratch;
 
 } // namespace
 
@@ -447,7 +559,7 @@ matmul(const Tensor& a, const Tensor& b, Tensor& out)
                   a.shapeString(), b.shapeString());
     const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
     out.resize(m, n);
-    gemmBlocked(a.data(), k, 1, b.data(), out.data(), m, k, n);
+    gemmBlocked(a.data(), k, 1, {b.data(), n, 1}, out.data(), m, k, n);
 }
 
 void
@@ -462,7 +574,7 @@ matmulBiasAct(const Tensor& a, const Tensor& b, const Tensor& bias,
                   bias.shapeString(), b.shapeString());
     const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
     out.resize(m, n);
-    gemmBlocked(a.data(), k, 1, b.data(), out.data(), m, k, n,
+    gemmBlocked(a.data(), k, 1, {b.data(), n, 1}, out.data(), m, k, n,
                 bias.data(), relu);
 }
 
@@ -475,42 +587,9 @@ matmulTransA(const Tensor& a, const Tensor& b, Tensor& out)
                   a.shapeString(), b.shapeString());
     const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
     out.resize(m, n);
-    // a is [k, m]; column i is walked with stride m — k strided
-    // broadcasts per register tile row, negligible next to the
-    // k * n FMAs.
-    gemmBlocked(a.data(), 1, m, b.data(), out.data(), m, k, n);
+    // a is [k, m]: a tile's rows are contiguous per p.
+    gemmBlocked(a.data(), 1, m, {b.data(), n, 1}, out.data(), m, k, n);
 }
-
-namespace {
-
-/**
- * Transpose rows [c0, c0 + w) of row-major @p b (each of length k)
- * into the per-thread scratch as a [k, w] row-major panel, ready to be
- * the right operand of the row-major GEMM core. The dot-product form
- * of out = a (*) b^T keeps a serial dependence chain per element that
- * cannot auto-vectorize without reassociation; transposing once and
- * running the vectorized core adds its k terms in the same increasing
- * p order, so the result is bitwise identical to the dot-product loop.
- */
-const float*
-transposePanel(const Tensor& b, std::size_t c0, std::size_t w)
-{
-    const std::size_t k = b.cols();
-    Tensor& bt = tl_transpose_scratch;
-    bt.resize(k, w);
-    const float* RECSIM_RESTRICT bd = b.data() + c0 * k;
-    float* RECSIM_RESTRICT btd = bt.data();
-    util::globalThreadPool().parallelFor(
-        0, k, rowGrain(w),
-        [=](std::size_t p0, std::size_t p1) {
-            for (std::size_t p = p0; p < p1; ++p)
-                for (std::size_t j = 0; j < w; ++j)
-                    btd[p * w + j] = bd[j * k + p];
-        });
-    return btd;
-}
-
-} // namespace
 
 void
 matmulTransB(const Tensor& a, const Tensor& b, Tensor& out)
@@ -532,8 +611,8 @@ matmulTransBMask(const Tensor& a, const Tensor& b, const Tensor* mask,
                       "matmulTransBMask mask {} for [{} x {}] output",
                       mask->shapeString(), m, n);
     out.resize(m, n);
-    const float* btd = transposePanel(b, 0, n);
-    gemmBlocked(a.data(), k, 1, btd, out.data(), m, k, n,
+    // b is [n, k]: packB gathers its rows as B's columns.
+    gemmBlocked(a.data(), k, 1, {b.data(), 1, k}, out.data(), m, k, n,
                 /*bias=*/nullptr, /*relu=*/false,
                 mask != nullptr ? mask->data() : nullptr);
 }
@@ -552,7 +631,7 @@ matmulTransABiasGrad(const Tensor& x, const Tensor& dy, Tensor& dw,
         db.resize(n);
     else
         db.zero();
-    gemmBlocked(x.data(), 1, m, dy.data(), dw.data(), m, k, n,
+    gemmBlocked(x.data(), 1, m, {dy.data(), n, 1}, dw.data(), m, k, n,
                 /*bias=*/nullptr, /*relu=*/false, /*mask=*/nullptr,
                 db.data());
 }
@@ -580,13 +659,13 @@ matmulTransBSegmented(const Tensor& a, const Tensor& b,
     for (GemmOutSegment& seg : segments) {
         const std::size_t w = seg.width;
         seg.out->resize(m, w);
-        const float* btd = transposePanel(b, c0, w);
         const float* zb = nullptr;
         if (seg.zero_bias) {
             tl_zero_bias.resize(w);
             zb = tl_zero_bias.data();
         }
-        gemmBlocked(a.data(), k, 1, btd, seg.out->data(), m, k, w, zb);
+        gemmBlocked(a.data(), k, 1, {b.data() + c0 * k, 1, k},
+                    seg.out->data(), m, k, w, zb);
         c0 += w;
     }
 }
@@ -627,7 +706,13 @@ sumRows(const Tensor& x, Tensor& out)
     util::globalThreadPool().parallelFor(
         0, cols, rowGrain(rows),
         [=](std::size_t j0, std::size_t j1) {
-            colSumPanel(xd, od, rows, cols, j0, j1);
+#if defined(RECSIM_SIMD_X86)
+            if (simd::activeTier() >= simd::Tier::kAvx2) {
+                sumRowsAvx2(xd, od, rows, cols, j0, j1);
+                return;
+            }
+#endif
+            sumRowsScalar(xd, od, rows, cols, j0, j1);
         });
 }
 

@@ -16,17 +16,23 @@ namespace tensor {
 
 /**
  * out = a (*) b for rank-2 tensors: [m, k] x [k, n] -> [m, n].
- * @p out is resized/overwritten. Cache-blocked with register-blocked
- * AVX2/FMA microkernels inside the blocks (scalar std::fma fallback
- * when the CPU lacks AVX2 or RECSIM_NO_SIMD=1; see simd.h).
+ * @p out is resized/overwritten.
+ *
+ * All matmul variants share one core: B (or, for the TransB variants,
+ * b^T, gathered in the same pass) is packed once per call into
+ * 32-column strips — each a row-major [k, 32] block, zero-padded past
+ * n — that every row chunk reads. Row chunks are whole register tiles
+ * of the active SIMD tier (simd.h): 8 x 32 zmm tiles on AVX-512,
+ * 6 x 16 ymm tiles on AVX2, std::fma loops on the scalar tier.
  *
  * Accumulation-order contract (all matmul variants): each output
  * element starts from the value already in @p out (zero here, since
  * out is resized) and adds its k terms in increasing p, every term as
  * ONE fused multiply-add — acc = fma(a[i,p], b[p,j], acc). The
- * contract is independent of cache blocks, register tiles, vector
- * width and thread count, so results are bitwise identical across all
- * of them (tested in test_tensor.cc against an explicit fma fold).
+ * contract is independent of packing, cache blocks, register tiles,
+ * SIMD tier and thread count, so results are bitwise identical across
+ * all of them (tested in test_tensor.cc against an explicit fma fold,
+ * at every tier the CPU has).
  */
 void matmul(const Tensor& a, const Tensor& b, Tensor& out);
 
@@ -38,11 +44,14 @@ void matmulTransB(const Tensor& a, const Tensor& b, Tensor& out);
 
 /**
  * Fused GEMM epilogue: out = a (*) b, then out[i, :] += bias, then
- * (if @p relu) out = max(out, 0) — applied inside the GEMM's final
- * k-block store instead of as separate passes over @p out, saving the
- * extra read+write memory traffic of addBiasRows / reluInPlace.
- * Bitwise identical to matmul + addBiasRows (+ reluInPlace): the
- * per-element float op sequence is unchanged, only when it runs moves.
+ * (if @p relu) out = std::max(out, 0.0f) — applied inside the GEMM's
+ * final k-block store instead of as separate passes over @p out,
+ * saving the extra read+write memory traffic of addBiasRows /
+ * reluInPlace. Bitwise identical to matmul + addBiasRows
+ * (+ reluInPlace): the per-element float op sequence is unchanged,
+ * only when it runs moves. The vector tiers compute the ReLU as
+ * MAXPS(zero, acc), which returns its second operand on NaN and on
+ * ±0 ties — exactly std::max(acc, 0.0f), so a NaN propagates.
  */
 void matmulBiasAct(const Tensor& a, const Tensor& b, const Tensor& bias,
                    bool relu, Tensor& out);

@@ -1,10 +1,13 @@
 #include "tensor/simd.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+
+#include "util/logging.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #  define RECSIM_SIMD_X86 1
@@ -135,42 +138,88 @@ reluMaskSpanAvx2(const float* y, const float* dy, float* dx,
 
 #endif // RECSIM_SIMD_X86
 
-bool
-computeEnabled()
+Tier
+detectTier()
 {
-    if (!available())
-        return false;
+#if defined(RECSIM_SIMD_X86)
+    if (!__builtin_cpu_supports("avx2") || !__builtin_cpu_supports("fma"))
+        return Tier::kScalar;
+    return __builtin_cpu_supports("avx512f") ? Tier::kAvx512 : Tier::kAvx2;
+#else
+    return Tier::kScalar;
+#endif
+}
+
+Tier
+startupTier()
+{
     const char* env = std::getenv("RECSIM_NO_SIMD");
     if (env != nullptr && env[0] != '\0' &&
         !(env[0] == '0' && env[1] == '\0'))
-        return false;
-    return true;
+        return Tier::kScalar;
+    return supportedTier();
+}
+
+/** Live ScopedTierOverride tier, or -1 for none. */
+std::atomic<int> g_tier_override{-1};
+
+/** True when the AVX2 elementwise kernels are dispatched to. */
+bool
+avx2Active()
+{
+    return activeTier() >= Tier::kAvx2;
 }
 
 } // namespace
 
-bool
-available()
+Tier
+supportedTier()
 {
-#if defined(RECSIM_SIMD_X86)
-    return __builtin_cpu_supports("avx2") &&
-        __builtin_cpu_supports("fma");
-#else
-    return false;
-#endif
+    static const Tier cached = detectTier();
+    return cached;
 }
 
-bool
-enabled()
+Tier
+activeTier()
 {
-    static const bool cached = computeEnabled();
-    return cached;
+    static const Tier startup = startupTier();
+    const int forced = g_tier_override.load(std::memory_order_relaxed);
+    return forced < 0 ? startup : static_cast<Tier>(forced);
+}
+
+const char*
+tierName(Tier tier)
+{
+    switch (tier) {
+    case Tier::kAvx512:
+        return "avx512f";
+    case Tier::kAvx2:
+        return "avx2-fma";
+    case Tier::kScalar:
+        break;
+    }
+    return "scalar";
 }
 
 const char*
 activeKernels()
 {
-    return enabled() ? "avx2-fma" : "scalar";
+    return tierName(activeTier());
+}
+
+ScopedTierOverride::ScopedTierOverride(Tier tier)
+    : previous_(g_tier_override.load(std::memory_order_relaxed))
+{
+    RECSIM_ASSERT(tier <= supportedTier(),
+                  "tier {} not supported on this CPU (max {})",
+                  tierName(tier), tierName(supportedTier()));
+    g_tier_override.store(static_cast<int>(tier),
+                          std::memory_order_relaxed);
+}
+
+ScopedTierOverride::~ScopedTierOverride()
+{
+    g_tier_override.store(previous_, std::memory_order_relaxed);
 }
 
 float
@@ -189,7 +238,7 @@ void
 sigmoidSpan(float* x, std::size_t n)
 {
 #if defined(RECSIM_SIMD_X86)
-    if (enabled()) {
+    if (avx2Active()) {
         sigmoidSpanAvx2(x, n);
         return;
     }
@@ -202,7 +251,7 @@ void
 reluMaskSpan(const float* y, const float* dy, float* dx, std::size_t n)
 {
 #if defined(RECSIM_SIMD_X86)
-    if (enabled()) {
+    if (avx2Active()) {
         reluMaskSpanAvx2(y, dy, dx, n);
         return;
     }

@@ -21,6 +21,7 @@
 #include "nn/linear.h"
 #include "nn/mlp.h"
 #include "nn/optimizer.h"
+#include "tensor/simd.h"
 #include "train/step_runner.h"
 #include "util/thread_pool.h"
 
@@ -295,6 +296,52 @@ TEST(GraphExecutor, ForwardSubgraphMatchesTrainingForwardBitwise)
                     << "t: serving forward diverged from training "
                        "forward";
             }
+        }
+    }
+    pool.resize(1);
+}
+
+TEST(GraphExecutor, FusedStepBitwiseEqualAcrossSimdTiers)
+{
+    // One fused Adagrad step of a Section V test-suite model — every
+    // GEMM entry point (bias/ReLU epilogues, dReLU-masked dgrad, fused
+    // bias grad, segmented interaction flatten) plus the elementwise
+    // kernels — must give the same loss and the same parameters, dense
+    // and embedding, at every SIMD tier this CPU has. Batch 37 leaves
+    // row tails for the 8- and 6-row register tiles.
+    namespace simd = tensor::simd;
+    auto& pool = util::globalThreadPool();
+    pool.resize(4);
+    const auto cfg = model::DlrmConfig::testSuite(64, 4, 1000, 64, 3);
+    auto fused_graph = graph::buildModelStepGraph(cfg);
+    graph::fusePass(fused_graph);
+    const GraphExecutor executor(fused_graph);
+    data::SyntheticCtrDataset ds(datasetFor(cfg));
+    const auto batch = ds.nextBatch(37);
+
+    auto run = [&](simd::Tier tier, model::Dlrm& m) {
+        simd::ScopedTierOverride force(tier);
+        nn::Adagrad opt(0.01f);
+        const double loss = executor.runStep(m, batch);
+        m.step(opt);
+        return loss;
+    };
+    model::Dlrm reference(cfg, 3);
+    const double want = run(simd::Tier::kScalar, reference);
+    for (int t = 1; t <= static_cast<int>(simd::supportedTier()); ++t) {
+        const auto tier = static_cast<simd::Tier>(t);
+        const std::string context = simd::tierName(tier);
+        model::Dlrm m(cfg, 3);
+        EXPECT_TRUE(bitwiseEqual(run(tier, m), want)) << context;
+        expectParamsBitwiseEqual(reference, m, context);
+        for (std::size_t f = 0; f < m.tables().size(); ++f) {
+            const tensor::Tensor& got = m.tables()[f].table;
+            const tensor::Tensor& ref = reference.tables()[f].table;
+            ASSERT_EQ(got.size(), ref.size()) << context;
+            EXPECT_EQ(std::memcmp(got.data(), ref.data(),
+                                  got.size() * sizeof(float)),
+                      0)
+                << context << " table " << f;
         }
     }
     pool.resize(1);

@@ -8,12 +8,14 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "tensor/ops.h"
 #include "tensor/simd.h"
 #include "tensor/tensor.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace recsim::tensor {
 namespace {
@@ -346,9 +348,9 @@ bitwiseEqualTensors(const Tensor& a, const Tensor& b)
 /**
  * The accumulation-order contract of ops.h, executed literally: per
  * output element the k products fold in increasing p, each as one
- * std::fma, starting from zero. Every matmul code path (scalar tiles,
- * AVX2 register blocks, any cache blocking, any thread count) must
- * reproduce this bit for bit.
+ * std::fma, starting from zero. Every matmul code path (any SIMD tier,
+ * packing, cache blocking or thread count) must reproduce this bit for
+ * bit.
  */
 Tensor
 contractMatmul(const Tensor& a, const Tensor& b)
@@ -410,8 +412,8 @@ TEST(Simd, SigmoidVectorLaneMatchesScalarTail)
 
 TEST(Matmul, AccumulationOrderContractBitwise)
 {
-    // Odd sizes: exercise the 6-row blocks, the 16/8-wide column tiles,
-    // the scalar tails and a k crossing the 128-deep panel boundary.
+    // Odd sizes: exercise the register tiles' row and column tails and
+    // a k crossing the 128-deep panel boundary.
     const Tensor a = randomMatrix(13, 131, 7);
     const Tensor b = randomMatrix(131, 37, 8);
     const Tensor want = contractMatmul(a, b);
@@ -563,6 +565,169 @@ TEST(Matmul, TransBSegmentedBitwiseEqualsColumnSplit)
             EXPECT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
                 << "element (" << i << ", " << j << ")";
         }
+}
+
+/**
+ * A NaN row of a makes a NaN output row. The unfused pipeline's
+ * reluInPlace keeps it (std::max(NaN, 0.0f) returns its first
+ * argument); the fused epilogue must too — in the vector body (rows
+ * 0-5, columns 0-31) as well as the tails.
+ */
+void
+expectFusedReluKeepsNan(const std::string& ctx)
+{
+    Tensor a = randomMatrix(9, 131, 38);
+    const Tensor b = randomMatrix(131, 33, 39);
+    util::Rng rng(40);
+    Tensor bias(33);
+    bias.fillNormal(rng, 1.0f);
+    for (std::size_t p = 0; p < a.cols(); ++p)
+        a.at(2, p) = std::numeric_limits<float>::quiet_NaN();
+
+    Tensor unfused;
+    matmul(a, b, unfused);
+    addBiasRows(unfused, bias);
+    reluInPlace(unfused);
+    Tensor fused;
+    matmulBiasAct(a, b, bias, true, fused);
+    EXPECT_TRUE(bitwiseEqualTensors(fused, unfused)) << ctx;
+    for (std::size_t j = 0; j < fused.cols(); ++j)
+        EXPECT_TRUE(std::isnan(fused.at(2, j))) << ctx << " column " << j;
+}
+
+TEST(Matmul, FusedReluPropagatesNanLikeUnfused)
+{
+    expectFusedReluKeepsNan("default dispatch");
+}
+
+// ---- Every dispatch tier in one process -----------------------------
+
+/** Scalar up to the highest tier this CPU supports. */
+std::vector<simd::Tier>
+tiersOnThisCpu()
+{
+    std::vector<simd::Tier> tiers;
+    for (int t = 0; t <= static_cast<int>(simd::supportedTier()); ++t)
+        tiers.push_back(static_cast<simd::Tier>(t));
+    return tiers;
+}
+
+/** Bitwise equality of one element to a reference float. */
+bool
+sameBits(float got, float want)
+{
+    return std::memcmp(&got, &want, sizeof(float)) == 0;
+}
+
+Tensor
+transposed(const Tensor& x)
+{
+    Tensor t(x.cols(), x.rows());
+    for (std::size_t i = 0; i < x.rows(); ++i)
+        for (std::size_t j = 0; j < x.cols(); ++j)
+            t.at(j, i) = x.at(i, j);
+    return t;
+}
+
+TEST(Simd, ActiveTierFollowsScopedOverride)
+{
+    const simd::Tier outer = simd::activeTier();
+    for (simd::Tier tier : tiersOnThisCpu()) {
+        simd::ScopedTierOverride force(tier);
+        EXPECT_EQ(simd::activeTier(), tier);
+        EXPECT_STREQ(simd::activeKernels(), simd::tierName(tier));
+        {
+            simd::ScopedTierOverride inner(simd::Tier::kScalar);
+            EXPECT_EQ(simd::activeTier(), simd::Tier::kScalar);
+        }
+        EXPECT_EQ(simd::activeTier(), tier);
+    }
+    EXPECT_EQ(simd::activeTier(), outer);
+}
+
+/**
+ * Every GEMM entry point, at every tier the CPU has and at 1 and 4
+ * threads, against the literal contract fold. Shapes cross the 8-row
+ * (AVX-512) and 6-row (AVX2) tile tails, the 32- and 16-column strip
+ * tails, the 128-deep k-panel and (last shape) the 512-column block.
+ */
+TEST(Matmul, EveryEntryPointBitwiseAtEveryTierAndThreadCount)
+{
+    struct Shape
+    {
+        std::size_t m, k, n;
+    };
+    auto& pool = util::globalThreadPool();
+    uint64_t seed = 40;
+    for (const Shape& s : {Shape{21, 131, 71}, Shape{16, 259, 64},
+                           Shape{5, 129, 545}}) {
+        const Tensor a = randomMatrix(s.m, s.k, ++seed);
+        const Tensor b = randomMatrix(s.k, s.n, ++seed);
+        const Tensor at = transposed(a), bt = transposed(b);
+        Tensor bias(s.n), mask = randomMatrix(s.m, s.n, ++seed);
+        util::Rng rng(++seed);
+        bias.fillNormal(rng, 1.0f);
+        mask.at(0, 0) = -0.0f;
+        mask.at(s.m - 1, s.n - 1) = std::numeric_limits<float>::quiet_NaN();
+
+        const Tensor want = contractMatmul(a, b);
+        Tensor want_bias_relu = want, want_masked = want;
+        Tensor want_db(s.n);
+        for (std::size_t i = 0; i < s.m; ++i)
+            for (std::size_t j = 0; j < s.n; ++j) {
+                float& v = want_bias_relu.at(i, j);
+                v = std::max(v + bias[j], 0.0f);
+                float& d = want_masked.at(i, j);
+                d = mask.at(i, j) > 0.0f ? d : 0.0f;
+            }
+        for (std::size_t p = 0; p < s.k; ++p)
+            for (std::size_t j = 0; j < s.n; ++j)
+                want_db[j] += b.at(p, j);
+
+        for (simd::Tier tier : tiersOnThisCpu()) {
+            simd::ScopedTierOverride force(tier);
+            expectFusedReluKeepsNan(simd::tierName(tier));
+            for (std::size_t threads : {1u, 4u}) {
+                pool.resize(threads);
+                const std::string ctx = std::string(simd::tierName(tier)) +
+                    " @" + std::to_string(threads) + "t [" +
+                    std::to_string(s.m) + "x" + std::to_string(s.k) + "x" +
+                    std::to_string(s.n) + "]";
+                Tensor got, dw, db;
+                matmul(a, b, got);
+                EXPECT_TRUE(bitwiseEqualTensors(got, want)) << ctx;
+                matmulTransA(at, b, got);
+                EXPECT_TRUE(bitwiseEqualTensors(got, want)) << ctx;
+                matmulTransB(a, bt, got);
+                EXPECT_TRUE(bitwiseEqualTensors(got, want)) << ctx;
+                matmulBiasAct(a, b, bias, true, got);
+                EXPECT_TRUE(bitwiseEqualTensors(got, want_bias_relu)) << ctx;
+                matmulTransBMask(a, bt, &mask, got);
+                EXPECT_TRUE(bitwiseEqualTensors(got, want_masked)) << ctx;
+                matmulTransABiasGrad(at, b, dw, db);
+                EXPECT_TRUE(bitwiseEqualTensors(dw, want)) << ctx;
+                EXPECT_TRUE(bitwiseEqualTensors(db, want_db)) << ctx;
+
+                // Segments of width 33, 1 and the rest: the first one
+                // zero-biased (normalizes -0.0 like zero-then-+=).
+                Tensor s0, s1, s2;
+                std::vector<GemmOutSegment> segs = {
+                    {&s0, 33, true}, {&s1, 1, false}, {&s2, s.n - 34, false}};
+                matmulTransBSegmented(a, bt, segs);
+                bool seg_ok = true;
+                for (std::size_t i = 0; i < s.m; ++i)
+                    for (std::size_t j = 0; j < s.n; ++j) {
+                        const float g = j < 33 ? s0.at(i, j)
+                            : j < 34 ? s1.at(i, 0) : s2.at(i, j - 34);
+                        const float w = j < 33 ? want.at(i, j) + 0.0f
+                                               : want.at(i, j);
+                        seg_ok = seg_ok && sameBits(g, w);
+                    }
+                EXPECT_TRUE(seg_ok) << ctx;
+            }
+        }
+    }
+    pool.resize(util::configuredThreads());
 }
 
 TEST(Simd, ReluMaskSpanVectorLaneMatchesScalarTail)
