@@ -2,10 +2,11 @@
  * @file
  * Kernel benchmark with a serial-vs-parallel regression gate. Measures
  * the library's hot compute kernels — GEMM variants, elementwise ops,
- * embedding-bag forward/backward, the quantized dequant path and the
- * full DLRM step — once with a 1-thread pool and once with N threads,
- * and emits BENCH_kernels.json (GFLOP/s for GEMMs, elem/s, lookups/s
- * or examples/s elsewhere) for CI to diff and gate on.
+ * embedding-bag forward/backward, row-wise Adagrad, the dot
+ * interaction, the quantized dequant path and the full DLRM step —
+ * once with a 1-thread pool and once with N threads, and emits
+ * BENCH_kernels.json (GFLOP/s for GEMMs, elem/s, lookups/s, rows/s or
+ * examples/s elsewhere) for CI to diff and gate on.
  *
  * A naive triple-loop GEMM (the pre-thread-pool kernel, zero-skip
  * branch included) is measured alongside as the historical baseline,
@@ -332,6 +333,47 @@ main(int argc, char** argv)
                                        nn::EmbeddingPrecision::Int8);
         h.run("embedding_fwd_int8", "lookups/s", total,
               [&] { qbag.forward(sb, pooled); });
+    }
+
+    // --- Sparse half at the train_sparse shape -------------------------
+    // One 160k x 64 table under row-wise Adagrad with the gradient of a
+    // 256-example, 20-lookup Zipf batch, and the dot interaction of 26
+    // tables plus the dense vector (F = 27, d = 64, batch 256). Same
+    // shape with and without --quick, so CI's rows compare with the
+    // pre-vectorization baseline its gate hard-codes.
+    {
+        const std::size_t batch = 256, dim = 64, sparse = 26;
+        const uint64_t hash = 160000;
+        util::Rng init_rng(3);
+        nn::EmbeddingBag bag(hash, dim, init_rng);
+        const auto sb = makeBatch(batch, 20, hash * 4, rng);
+        tensor::Tensor dy(batch, dim);
+        dy.fillNormal(rng, 1.0f);
+        nn::SparseGrad grad;
+        bag.backward(sb, dy, grad);
+        std::vector<float> acc(hash, 0.0f);
+        h.run("embedding_adagrad", "rows/s",
+              static_cast<double>(grad.rows.size()),
+              [&] { bag.applyAdagrad(grad, acc, 0.01f, 1e-8f); });
+
+        const nn::DotInteraction dot;
+        tensor::Tensor dense(batch, dim);
+        dense.fillNormal(rng, 1.0f);
+        std::vector<tensor::Tensor> embs(sparse,
+                                         tensor::Tensor(batch, dim));
+        for (auto& e : embs)
+            e.fillNormal(rng, 1.0f);
+        tensor::Tensor out, d_dense;
+        std::vector<tensor::Tensor> d_embs;
+        h.run("interaction_dot_fwd", "examples/s",
+              static_cast<double>(batch),
+              [&] { dot.forward(dense, embs, out); });
+        tensor::Tensor d_out(batch, out.cols());
+        d_out.fillNormal(rng, 1.0f);
+        h.run("interaction_dot_bwd", "examples/s",
+              static_cast<double>(batch), [&] {
+                  dot.backward(dense, embs, d_out, d_dense, d_embs);
+              });
     }
 
     // --- Full model step -----------------------------------------------

@@ -1,8 +1,8 @@
 #include "nn/embedding_backend.h"
 
 #include <algorithm>
-#include <cmath>
 
+#include "nn/sparse_kernels.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "util/logging.h"
@@ -10,82 +10,17 @@
 namespace recsim {
 namespace nn {
 
-namespace {
-
-/**
- * The one gather-and-pool kernel. Every backend funnels through this
- * exact loop, so cross-backend bitwise equality of the pooled output
- * holds by construction: same iteration order, same accumulation
- * order, same scaling.
- */
-inline void
-gatherRange(const float* table_data, uint64_t hash, std::size_t dim,
-            Pooling pooling, const SparseBatch& batch, float* out_data,
-            std::size_t e0, std::size_t e1)
-{
-    for (std::size_t ex = e0; ex < e1; ++ex) {
-        const std::size_t begin = batch.offsets[ex];
-        const std::size_t end = batch.offsets[ex + 1];
-        RECSIM_ASSERT(begin <= end, "corrupt SparseBatch offsets");
-        float* orow = out_data + ex * dim;
-        for (std::size_t k = begin; k < end; ++k) {
-            const auto row_id =
-                static_cast<std::size_t>(batch.indices[k] % hash);
-            const float* erow = table_data + row_id * dim;
-            for (std::size_t j = 0; j < dim; ++j)
-                orow[j] += erow[j];
-        }
-        if (pooling == Pooling::Mean && end > begin) {
-            const float inv = 1.0f / static_cast<float>(end - begin);
-            for (std::size_t j = 0; j < dim; ++j)
-                orow[j] *= inv;
-        }
-    }
-}
-
-/** Sparse SGD row arithmetic, identical for every backend. */
-inline void
-sgdKernel(tensor::Tensor& table, std::size_t dim, const SparseGrad& grad,
-          float lr)
-{
-    for (std::size_t r = 0; r < grad.rows.size(); ++r) {
-        float* row =
-            table.row(static_cast<std::size_t>(grad.rows[r]));
-        const float* g = grad.values.row(r);
-        for (std::size_t j = 0; j < dim; ++j)
-            row[j] -= lr * g[j];
-    }
-}
-
-/** Row-wise Adagrad arithmetic, identical for every backend. */
-inline void
-adagradKernel(tensor::Tensor& table, std::size_t dim,
-              const SparseGrad& grad, std::vector<float>& acc, float lr,
-              float eps)
-{
-    for (std::size_t r = 0; r < grad.rows.size(); ++r) {
-        const auto row_id = static_cast<std::size_t>(grad.rows[r]);
-        const float* g = grad.values.row(r);
-        // Row-wise Adagrad: a single accumulator per row holding the
-        // mean squared gradient across the row's elements.
-        float sq = 0.0f;
-        for (std::size_t j = 0; j < dim; ++j)
-            sq += g[j] * g[j];
-        acc[row_id] += sq / static_cast<float>(dim);
-        const float denom = std::sqrt(acc[row_id]) + eps;
-        float* row = table.row(row_id);
-        for (std::size_t j = 0; j < dim; ++j)
-            row[j] -= lr * g[j] / denom;
-    }
-}
-
-} // namespace
+// Every backend gathers and updates through the kernels of
+// nn/sparse_kernels.h, so cross-backend bitwise equality holds by
+// construction: same iteration order, same accumulation order, same
+// scaling.
 
 void
 EmbeddingBackend::applySgd(tensor::Tensor& table, std::size_t dim,
                            const SparseGrad& grad, float lr)
 {
-    sgdKernel(table, dim, grad, lr);
+    kernels::sgdRows(table.data(), dim, grad.rows.data(),
+                     grad.rows.size(), grad.values.data(), lr);
 }
 
 void
@@ -94,7 +29,9 @@ EmbeddingBackend::applyAdagrad(tensor::Tensor& table, std::size_t dim,
                                std::vector<float>& acc, float lr,
                                float eps)
 {
-    adagradKernel(table, dim, grad, acc, lr, eps);
+    kernels::adagradRows(table.data(), dim, grad.rows.data(),
+                         grad.rows.size(), grad.values.data(), acc.data(),
+                         lr, eps);
 }
 
 // ---------------------------------------------------------------------------
@@ -106,8 +43,8 @@ DramBackend::forwardRange(const tensor::Tensor& table, uint64_t hash_size,
                           const SparseBatch& batch, tensor::Tensor& out,
                           std::size_t e0, std::size_t e1)
 {
-    gatherRange(table.data(), hash_size, dim, pooling, batch, out.data(),
-                e0, e1);
+    kernels::gatherPool(table.data(), hash_size, dim, pooling, batch,
+                        out.data(), e0, e1);
     const uint64_t n = batch.offsets[e1] - batch.offsets[e0];
     // One relaxed add per chunk; integer adds commute, so the totals
     // are deterministic at any thread count.
@@ -136,7 +73,7 @@ void
 DramBackend::applySgd(tensor::Tensor& table, std::size_t dim,
                       const SparseGrad& grad, float lr)
 {
-    sgdKernel(table, dim, grad, lr);
+    EmbeddingBackend::applySgd(table, dim, grad, lr);
     write_bytes_ += grad.rows.size() * dim * sizeof(float);
 }
 
@@ -145,7 +82,7 @@ DramBackend::applyAdagrad(tensor::Tensor& table, std::size_t dim,
                           const SparseGrad& grad, std::vector<float>& acc,
                           float lr, float eps)
 {
-    adagradKernel(table, dim, grad, acc, lr, eps);
+    EmbeddingBackend::applyAdagrad(table, dim, grad, acc, lr, eps);
     write_bytes_ += grad.rows.size() * dim * sizeof(float);
 }
 
@@ -209,8 +146,8 @@ CachedBackend::forwardRange(const tensor::Tensor& table,
                             tensor::Tensor& out, std::size_t e0,
                             std::size_t e1)
 {
-    gatherRange(table.data(), hash_size, dim, pooling, batch, out.data(),
-                e0, e1);
+    kernels::gatherPool(table.data(), hash_size, dim, pooling, batch,
+                        out.data(), e0, e1);
     // Classify this chunk's lookups against the read-only hot bitmap
     // (only endForwardBatch mutates it, and never concurrently with
     // gathers). Local counts, one commutative atomic add per chunk:

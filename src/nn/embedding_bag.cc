@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "nn/embedding_backend.h"
+#include "nn/sparse_kernels.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -196,35 +197,16 @@ EmbeddingBag::backward(const SparseBatch& batch, const tensor::Tensor& dy,
     // batch order — so every gradient row sees the serial accumulation
     // order no matter how many chunks or threads run. A handful of
     // shards bounds the rescan overhead.
-    const std::size_t dim = dim_;
-    const Pooling pooling = pooling_;
     const std::size_t nshards =
         std::min<std::size_t>(util::globalThreadPool().numThreads(),
                               nrows);
     const std::size_t grain = (nrows + nshards - 1) / nshards;
-    float* values = grad.values.data();
-    const float* dyd = dy.data();
     util::globalThreadPool().parallelFor(
         0, nrows, grain,
-        [&batch, &ws, values, dyd, dim, pooling,
-         b](std::size_t lo, std::size_t hi) {
-            for (std::size_t ex = 0; ex < b; ++ex) {
-                const std::size_t begin = batch.offsets[ex];
-                const std::size_t end = batch.offsets[ex + 1];
-                if (end == begin)
-                    continue;
-                const float scale = pooling == Pooling::Mean
-                    ? 1.0f / static_cast<float>(end - begin) : 1.0f;
-                const float* dyrow = dyd + ex * dim;
-                for (std::size_t k = begin; k < end; ++k) {
-                    const std::size_t s = ws.slot_per_k[k];
-                    if (s < lo || s >= hi)
-                        continue;
-                    float* vrow = values + s * dim;
-                    for (std::size_t j = 0; j < dim; ++j)
-                        vrow[j] += scale * dyrow[j];
-                }
-            }
+        [this, &batch, &ws, &grad, &dy](std::size_t lo, std::size_t hi) {
+            kernels::accumulatePooledGrad(batch, ws.slot_per_k.data(),
+                                          dy.data(), dim_, pooling_,
+                                          grad.values.data(), lo, hi);
         });
     backend_->noteBackward(grad, dim_);
 }

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "nn/sparse_kernels.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 
@@ -77,6 +78,25 @@ DotInteraction::outWidth(std::size_t num_sparse, std::size_t emb_dim)
 }
 
 void
+DotInteraction::bindFeatures(const tensor::Tensor& dense,
+                             const std::vector<tensor::Tensor>& embs,
+                             tensor::Tensor* d_dense,
+                             std::vector<tensor::Tensor>* d_embs) const
+{
+    const std::size_t f = embs.size() + 1;
+    scratch_.feats.resize(f);
+    scratch_.feats[0] = dense.data();
+    for (std::size_t s = 0; s < embs.size(); ++s)
+        scratch_.feats[s + 1] = embs[s].data();
+    if (d_dense == nullptr)
+        return;
+    scratch_.dfeats.resize(f);
+    scratch_.dfeats[0] = d_dense->data();
+    for (std::size_t s = 0; s < embs.size(); ++s)
+        scratch_.dfeats[s + 1] = (*d_embs)[s].data();
+}
+
+void
 DotInteraction::forward(const tensor::Tensor& dense,
                         const std::vector<tensor::Tensor>& embs,
                         tensor::Tensor& out) const
@@ -91,25 +111,19 @@ DotInteraction::forward(const tensor::Tensor& dense,
     const std::size_t width = outWidth(embs.size(), d);
     if (out.rank() != 2 || out.rows() != b || out.cols() != width)
         out = tensor::Tensor(b, width);
+    if (b == 0)
+        return;
 
-    // Per-example view of the F vectors; slot 0 is the dense projection.
-    std::vector<const float*> vec(f);
-    for (std::size_t ex = 0; ex < b; ++ex) {
-        vec[0] = dense.row(ex);
-        for (std::size_t s = 0; s < embs.size(); ++s)
-            vec[s + 1] = embs[s].row(ex);
-        float* orow = out.row(ex);
-        std::memcpy(orow, vec[0], d * sizeof(float));
-        std::size_t off = d;
-        for (std::size_t i = 0; i < f; ++i) {
-            for (std::size_t j = i + 1; j < f; ++j) {
-                float acc = 0.0f;
-                for (std::size_t k = 0; k < d; ++k)
-                    acc += vec[i][k] * vec[j][k];
-                orow[off++] = acc;
-            }
-        }
-    }
+    // Slot 0 of the F vectors is the dense projection, copied through
+    // ahead of the pairwise products.
+    for (std::size_t ex = 0; ex < b; ++ex)
+        std::memcpy(out.row(ex), dense.row(ex), d * sizeof(float));
+    bindFeatures(dense, embs, nullptr, nullptr);
+    const std::size_t scratch = kernels::dotScratchFloats(f, d);
+    if (scratch_.transposed.size() < scratch)
+        scratch_.transposed.resize(scratch);
+    kernels::dotForward(scratch_.feats.data(), f, b, d, out.data() + d,
+                        width, scratch_.transposed.data());
 }
 
 void
@@ -134,33 +148,14 @@ DotInteraction::backward(const tensor::Tensor& dense,
             d_embs[s] = tensor::Tensor(b, d);
         d_embs[s].zero();
     }
+    if (b == 0)
+        return;
 
-    std::vector<const float*> vec(f);
-    std::vector<float*> dvec(f);
-    for (std::size_t ex = 0; ex < b; ++ex) {
-        vec[0] = dense.row(ex);
-        dvec[0] = d_dense.row(ex);
-        for (std::size_t s = 0; s < embs.size(); ++s) {
-            vec[s + 1] = embs[s].row(ex);
-            dvec[s + 1] = d_embs[s].row(ex);
-        }
-        const float* dyrow = dy.row(ex);
-        // Pass-through part: the dense copy occupies the first d slots.
-        for (std::size_t k = 0; k < d; ++k)
-            dvec[0][k] += dyrow[k];
-        std::size_t off = d;
-        for (std::size_t i = 0; i < f; ++i) {
-            for (std::size_t j = i + 1; j < f; ++j) {
-                const float g = dyrow[off++];
-                if (g == 0.0f)
-                    continue;
-                for (std::size_t k = 0; k < d; ++k) {
-                    dvec[i][k] += g * vec[j][k];
-                    dvec[j][k] += g * vec[i][k];
-                }
-            }
-        }
-    }
+    // dy's first d columns are the dense pass-through, the rest the
+    // pairwise slots.
+    bindFeatures(dense, embs, &d_dense, &d_embs);
+    kernels::dotBackward(scratch_.feats.data(), scratch_.dfeats.data(), f,
+                         b, d, dy.data() + d, dy.data(), dy.cols());
 }
 
 void
@@ -189,30 +184,12 @@ DotInteraction::backwardFused(const tensor::Tensor& dense,
             d_embs[s] = tensor::Tensor(b, d);
         d_embs[s].zero();
     }
+    if (b == 0)
+        return;
 
-    std::vector<const float*> vec(f);
-    std::vector<float*> dvec(f);
-    for (std::size_t ex = 0; ex < b; ++ex) {
-        vec[0] = dense.row(ex);
-        dvec[0] = d_dense.row(ex);
-        for (std::size_t s = 0; s < embs.size(); ++s) {
-            vec[s + 1] = embs[s].row(ex);
-            dvec[s + 1] = d_embs[s].row(ex);
-        }
-        const float* dyrow = d_pairs.row(ex);
-        std::size_t off = 0;
-        for (std::size_t i = 0; i < f; ++i) {
-            for (std::size_t j = i + 1; j < f; ++j) {
-                const float g = dyrow[off++];
-                if (g == 0.0f)
-                    continue;
-                for (std::size_t k = 0; k < d; ++k) {
-                    dvec[i][k] += g * vec[j][k];
-                    dvec[j][k] += g * vec[i][k];
-                }
-            }
-        }
-    }
+    bindFeatures(dense, embs, &d_dense, &d_embs);
+    kernels::dotBackward(scratch_.feats.data(), scratch_.dfeats.data(), f,
+                         b, d, d_pairs.data(), nullptr, d_pairs.cols());
 }
 
 } // namespace nn

@@ -88,6 +88,26 @@ class DotInteraction
                        const tensor::Tensor& d_pairs,
                        tensor::Tensor& d_dense,
                        std::vector<tensor::Tensor>& d_embs) const;
+
+  private:
+    /** Point feats (and dfeats, when given) at the F input tensors. */
+    void bindFeatures(const tensor::Tensor& dense,
+                      const std::vector<tensor::Tensor>& embs,
+                      tensor::Tensor* d_dense,
+                      std::vector<tensor::Tensor>* d_embs) const;
+
+    /**
+     * Reusable per-call buffers: sized by the first call of a shape,
+     * so steady-state calls never touch the allocator. One instance
+     * therefore serves one call at a time (each model owns its own).
+     */
+    struct Scratch
+    {
+        std::vector<const float*> feats;  ///< [F] input bases.
+        std::vector<float*> dfeats;       ///< [F] gradient bases.
+        std::vector<float> transposed;    ///< dotForward's [d x F] copy.
+    };
+    mutable Scratch scratch_;
 };
 
 } // namespace nn

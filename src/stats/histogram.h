@@ -21,11 +21,10 @@ enum class BinScale { Linear, Log10 };
  * or last bin (and counted separately as underflow/overflow).
  *
  * NOT thread-safe: add() mutates bin counts and totals without
- * synchronization, so concurrent recording (e.g. serving workers
- * retiring batches) must go through stats::ConcurrentSampleSet or
- * obs::MetricsRegistry::observe(), both of which lock — the audit
- * behind tests/test_serve.cc's TSan matrix test. Single-threaded
- * bench/fleet accumulation stays lock-free here.
+ * synchronization, so concurrent recording must go through
+ * stats::LogHistogram (atomic bins) or obs::MetricsRegistry::observe()
+ * (locked). Single-threaded bench/fleet accumulation stays lock-free
+ * here.
  */
 class Histogram
 {

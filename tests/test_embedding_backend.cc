@@ -33,6 +33,7 @@
 #include "model/dlrm.h"
 #include "nn/embedding_backend.h"
 #include "nn/embedding_bag.h"
+#include "nn/interaction.h"
 #include "nn/optimizer.h"
 #include "placement/placement.h"
 #include "tensor/tensor.h"
@@ -391,6 +392,85 @@ TEST(FlatSlotMap, SteadyStateBackwardAllocatesNothing)
     EXPECT_EQ(before, after)
         << "steady-state backward touched the allocator "
         << (after - before) << " time(s)";
+}
+
+/** Allocator calls made by @p fn. */
+template <typename F>
+std::uint64_t
+allocationsDuring(F&& fn)
+{
+    const std::uint64_t before =
+        g_alloc_calls.load(std::memory_order_relaxed);
+    fn();
+    return g_alloc_calls.load(std::memory_order_relaxed) - before;
+}
+
+TEST(FlatSlotMap, SteadyStateSparseHalfAllocatesNothing)
+{
+    // The same contract for the rest of the sparse half: once a shape
+    // has been seen, embedding forward/backward (Mean pooling, a
+    // masked-tail width), every DotInteraction entry point and a
+    // Dlrm::step with Adagrad keep all their buffers.
+    PoolSizeGuard guard;
+    util::globalThreadPool().resize(1);
+
+    util::Rng rng(3);
+    EmbeddingBag bag(128, 20, rng, nn::Pooling::Mean);
+    util::Rng data_rng(9);
+    const util::ZipfSampler zipf(512, 1.05);
+    const SparseBatch batch = zipfBatch(zipf, data_rng, 32, 8);
+    Tensor pooled;
+    SparseGrad grad;
+    for (int warm = 0; warm < 2; ++warm) {
+        bag.forward(batch, pooled);
+        bag.backward(batch, pooled, grad);
+    }
+    EXPECT_EQ(allocationsDuring([&] { bag.forward(batch, pooled); }), 0u)
+        << "embedding forward";
+    EXPECT_EQ(allocationsDuring([&] { bag.backward(batch, pooled, grad); }),
+              0u)
+        << "embedding backward";
+
+    const nn::DotInteraction dot;
+    Tensor dense(32, 20);
+    dense.fillNormal(data_rng, 1.0f);
+    std::vector<Tensor> embs(5, pooled);
+    Tensor out, d_dense, d_pairs(32, 15);
+    std::vector<Tensor> d_embs;
+    for (int warm = 0; warm < 2; ++warm) {
+        dot.forward(dense, embs, out);
+        dot.backward(dense, embs, out, d_dense, d_embs);
+        dot.backwardFused(dense, embs, d_pairs, d_dense, d_embs);
+    }
+    EXPECT_EQ(allocationsDuring([&] { dot.forward(dense, embs, out); }),
+              0u)
+        << "dot forward";
+    EXPECT_EQ(allocationsDuring([&] {
+                  dot.backward(dense, embs, out, d_dense, d_embs);
+              }),
+              0u)
+        << "dot backward";
+    EXPECT_EQ(allocationsDuring([&] {
+                  dot.backwardFused(dense, embs, d_pairs, d_dense, d_embs);
+              }),
+              0u)
+        << "dot backwardFused";
+
+    const auto cfg = model::DlrmConfig::testSuite(16, 4, 500, 32, 2);
+    data::DatasetConfig dc;
+    dc.num_dense = cfg.num_dense;
+    dc.sparse = cfg.sparse;
+    data::SyntheticCtrDataset ds(dc);
+    const auto mb = ds.nextBatch(32);
+    model::Dlrm model(cfg, 7);
+    nn::Adagrad adagrad(0.01f);
+    for (int warm = 0; warm < 2; ++warm) {
+        model.forwardBackward(mb);
+        model.step(adagrad);
+    }
+    model.forwardBackward(mb);
+    EXPECT_EQ(allocationsDuring([&] { model.step(adagrad); }), 0u)
+        << "Dlrm::step(Adagrad)";
 }
 
 // ---- CachedBackend hot-set mechanics -----------------------------------

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -18,11 +19,13 @@
 #include "data/dataset.h"
 #include "graph/step_graph.h"
 #include "model/dlrm.h"
+#include "nn/embedding_bag.h"
 #include "nn/linear.h"
 #include "nn/mlp.h"
 #include "nn/optimizer.h"
 #include "tensor/simd.h"
 #include "train/step_runner.h"
+#include "util/random.h"
 #include "util/thread_pool.h"
 
 namespace recsim::train {
@@ -303,45 +306,75 @@ TEST(GraphExecutor, ForwardSubgraphMatchesTrainingForwardBitwise)
 
 TEST(GraphExecutor, FusedStepBitwiseEqualAcrossSimdTiers)
 {
-    // One fused Adagrad step of a Section V test-suite model — every
-    // GEMM entry point (bias/ReLU epilogues, dReLU-masked dgrad, fused
-    // bias grad, segmented interaction flatten) plus the elementwise
-    // kernels — must give the same loss and the same parameters, dense
-    // and embedding, at every SIMD tier this CPU has. Batch 37 leaves
-    // row tails for the 8- and 6-row register tiles.
+    // One fused step must give the same loss and the same parameters,
+    // dense and embedding, at every SIMD tier this CPU has. Two models:
+    //  - a Section V test-suite model: every GEMM entry point
+    //    (bias/ReLU epilogues, dReLU-masked dgrad, fused bias grad,
+    //    segmented interaction flatten) plus the elementwise kernels;
+    //  - a sparse-heavy model: 12 Mean-pooled tables of width 36 (a
+    //    masked tail at both vector widths) feeding the dot
+    //    interaction, so the sparse kernels — gather/pool, gradient
+    //    accumulate, pairwise dots and their scatter — carry the step.
+    // Each is stepped by Adagrad and by Sgd. Batch 37 leaves row tails
+    // for the 8- and 6-row register tiles.
     namespace simd = tensor::simd;
     auto& pool = util::globalThreadPool();
     pool.resize(4);
-    const auto cfg = model::DlrmConfig::testSuite(64, 4, 1000, 64, 3);
-    auto fused_graph = graph::buildModelStepGraph(cfg);
-    graph::fusePass(fused_graph);
-    const GraphExecutor executor(fused_graph);
-    data::SyntheticCtrDataset ds(datasetFor(cfg));
-    const auto batch = ds.nextBatch(37);
-
-    auto run = [&](simd::Tier tier, model::Dlrm& m) {
-        simd::ScopedTierOverride force(tier);
-        nn::Adagrad opt(0.01f);
-        const double loss = executor.runStep(m, batch);
-        m.step(opt);
-        return loss;
+    auto sparse_heavy = model::DlrmConfig::testSuite(16, 12, 300, 32, 2);
+    sparse_heavy.emb_dim = 36;
+    // Dlrm builds Sum-pooled tables; swap in Mean-pooled ones.
+    auto make = [&sparse_heavy](const model::DlrmConfig& cfg) {
+        auto m = std::make_unique<model::Dlrm>(cfg, 3);
+        if (cfg.name == sparse_heavy.name) {
+            util::Rng rng(5);
+            for (auto& t : m->tables())
+                t = nn::EmbeddingBag(t.hashSize(), t.dim(), rng,
+                                     nn::Pooling::Mean);
+        }
+        return m;
     };
-    model::Dlrm reference(cfg, 3);
-    const double want = run(simd::Tier::kScalar, reference);
-    for (int t = 1; t <= static_cast<int>(simd::supportedTier()); ++t) {
-        const auto tier = static_cast<simd::Tier>(t);
-        const std::string context = simd::tierName(tier);
-        model::Dlrm m(cfg, 3);
-        EXPECT_TRUE(bitwiseEqual(run(tier, m), want)) << context;
-        expectParamsBitwiseEqual(reference, m, context);
-        for (std::size_t f = 0; f < m.tables().size(); ++f) {
-            const tensor::Tensor& got = m.tables()[f].table;
-            const tensor::Tensor& ref = reference.tables()[f].table;
-            ASSERT_EQ(got.size(), ref.size()) << context;
-            EXPECT_EQ(std::memcmp(got.data(), ref.data(),
-                                  got.size() * sizeof(float)),
-                      0)
-                << context << " table " << f;
+    for (const auto& cfg :
+         {model::DlrmConfig::testSuite(64, 4, 1000, 64, 3), sparse_heavy}) {
+        auto fused_graph = graph::buildModelStepGraph(cfg);
+        graph::fusePass(fused_graph);
+        const GraphExecutor executor(fused_graph);
+        data::SyntheticCtrDataset ds(datasetFor(cfg));
+        const auto batch = ds.nextBatch(37);
+
+        for (const bool adagrad : {true, false}) {
+            auto run = [&](simd::Tier tier, model::Dlrm& m) {
+                simd::ScopedTierOverride force(tier);
+                const double loss = executor.runStep(m, batch);
+                if (adagrad) {
+                    nn::Adagrad opt(0.01f);
+                    m.step(opt);
+                } else {
+                    m.step(nn::Sgd(0.01f));
+                }
+                return loss;
+            };
+            auto ref_model = make(cfg);
+            model::Dlrm& reference = *ref_model;
+            const double want = run(simd::Tier::kScalar, reference);
+            for (int t = 1; t <= static_cast<int>(simd::supportedTier());
+                 ++t) {
+                const auto tier = static_cast<simd::Tier>(t);
+                const std::string context = cfg.name + " " +
+                    (adagrad ? "adagrad " : "sgd ") + simd::tierName(tier);
+                auto model = make(cfg);
+                model::Dlrm& m = *model;
+                EXPECT_TRUE(bitwiseEqual(run(tier, m), want)) << context;
+                expectParamsBitwiseEqual(reference, m, context);
+                for (std::size_t f = 0; f < m.tables().size(); ++f) {
+                    const tensor::Tensor& got = m.tables()[f].table;
+                    const tensor::Tensor& ref = reference.tables()[f].table;
+                    ASSERT_EQ(got.size(), ref.size()) << context;
+                    EXPECT_EQ(std::memcmp(got.data(), ref.data(),
+                                          got.size() * sizeof(float)),
+                              0)
+                        << context << " table " << f;
+                }
+            }
         }
     }
     pool.resize(1);
