@@ -24,6 +24,8 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -75,6 +77,40 @@ measureOpsPerSec(F&& fn, double ops_per_iter, double min_seconds)
     return ops_per_iter / best;
 }
 
+/**
+ * Best-iteration throughput of @p fa and @p fb timed in alternation:
+ * each round runs one call of each back to back and keeps each one's
+ * best time, so both sample the same stretch of host speed and their
+ * ratio is not confounded by drift between two separate measurements.
+ * Runs for at least 2 * min_seconds in all (after one warmup call of
+ * each); both do @p ops_per_iter work.
+ */
+template <typename FA, typename FB>
+std::pair<double, double>
+measurePairOpsPerSec(FA&& fa, FB&& fb, double ops_per_iter,
+                     double min_seconds)
+{
+    fa();
+    fb();
+    double best_a = std::numeric_limits<double>::infinity();
+    double best_b = best_a;
+    double total = 0.0;
+    int iters = 0;
+    while ((total < 2.0 * min_seconds || iters < 3) && iters < 10000) {
+        double t0 = nowSeconds();
+        fa();
+        const double dt_a = nowSeconds() - t0;
+        t0 = nowSeconds();
+        fb();
+        const double dt_b = nowSeconds() - t0;
+        best_a = std::min(best_a, dt_a);
+        best_b = std::min(best_b, dt_b);
+        total += dt_a + dt_b;
+        ++iters;
+    }
+    return {ops_per_iter / best_a, ops_per_iter / best_b};
+}
+
 /** The pre-change GEMM: single-thread ikj with the zero-skip branch. */
 void
 naiveMatmul(const tensor::Tensor& a, const tensor::Tensor& b,
@@ -123,10 +159,38 @@ struct Harness
         util::globalThreadPool().resize(threads);
         r.parallel = measureOpsPerSec(fn, ops_per_iter, min_seconds);
         util::globalThreadPool().resize(1);
+        record(r);
+    }
+
+    /**
+     * Measure a fused kernel and its unfused partner interleaved
+     * (measurePairOpsPerSec), serial then parallel, and record one row
+     * each, @p fused_name first.
+     */
+    template <typename FF, typename FU>
+    void runPair(const std::string& fused_name,
+                 const std::string& unfused_name,
+                 const std::string& metric, double ops_per_iter,
+                 FF&& fused, FU&& unfused)
+    {
+        KernelResult f{fused_name, metric}, u{unfused_name, metric};
+        util::globalThreadPool().resize(1);
+        std::tie(f.serial, u.serial) = measurePairOpsPerSec(
+            fused, unfused, ops_per_iter, min_seconds);
+        util::globalThreadPool().resize(threads);
+        std::tie(f.parallel, u.parallel) = measurePairOpsPerSec(
+            fused, unfused, ops_per_iter, min_seconds);
+        util::globalThreadPool().resize(1);
+        record(f);
+        record(u);
+    }
+
+    void record(const KernelResult& r)
+    {
         results.push_back(r);
         std::cout << util::format(
             "{} [{}]  serial {}  {}-thread {}  speedup {}\n",
-            name, metric, r.serial, threads, r.parallel,
+            r.name, r.metric, r.serial, threads, r.parallel,
             r.serial > 0.0 ? r.parallel / r.serial : 0.0);
     }
 };
@@ -216,15 +280,16 @@ main(int argc, char** argv)
         // FLOP count on both rows so the delta is pure memory traffic.
         tensor::Tensor bias(n);
         bias.fillNormal(rng, 1.0f);
-        h.run(util::format("gemm_bias_relu_fused_{}", n), "GFLOP/s",
-              flops,
-              [&] { tensor::matmulBiasAct(a, b, bias, true, out); });
-        h.run(util::format("gemm_bias_relu_unfused_{}", n), "GFLOP/s",
-              flops, [&] {
-                  tensor::matmul(a, b, out);
-                  tensor::addBiasRows(out, bias);
-                  tensor::reluInPlace(out);
-              });
+        h.runPair(
+            util::format("gemm_bias_relu_fused_{}", n),
+            util::format("gemm_bias_relu_unfused_{}", n), "GFLOP/s",
+            flops,
+            [&] { tensor::matmulBiasAct(a, b, bias, true, out); },
+            [&] {
+                tensor::matmul(a, b, out);
+                tensor::addBiasRows(out, bias);
+                tensor::reluInPlace(out);
+            });
 
         // Backward fusion: one layer's full grad step. Fused row: the
         // bias grad rides the dW GEMM sweep and the dReLU mask the dx
@@ -237,18 +302,20 @@ main(int argc, char** argv)
         mask.fillNormal(rng, 1.0f);
         tensor::Tensor dw, db, dx;
         const double bwd_flops = 2.0 * flops;
-        h.run(util::format("gemm_dgrad_fused_{}", n), "GFLOP/s",
-              bwd_flops, [&] {
-                  tensor::matmulTransABiasGrad(xin, dy, dw, db);
-                  tensor::matmulTransBMask(dy, b, &mask, dx);
-              });
-        h.run(util::format("gemm_dgrad_unfused_{}", n), "GFLOP/s",
-              bwd_flops, [&] {
-                  tensor::matmulTransA(xin, dy, dw);
-                  tensor::sumRows(dy, db);
-                  tensor::matmulTransB(dy, b, dx);
-                  tensor::reluBackward(mask, dx, dx);
-              });
+        h.runPair(
+            util::format("gemm_dgrad_fused_{}", n),
+            util::format("gemm_dgrad_unfused_{}", n), "GFLOP/s",
+            bwd_flops,
+            [&] {
+                tensor::matmulTransABiasGrad(xin, dy, dw, db);
+                tensor::matmulTransBMask(dy, b, &mask, dx);
+            },
+            [&] {
+                tensor::matmulTransA(xin, dy, dw);
+                tensor::sumRows(dy, db);
+                tensor::matmulTransB(dy, b, dx);
+                tensor::reluBackward(mask, dx, dx);
+            });
     }
 
     // --- Interaction backward: flatten fusion --------------------------
@@ -271,25 +338,26 @@ main(int argc, char** argv)
             for (std::size_t j = 0; j < width; ++j)
                 wt.at(j, i) = w.at(i, j);
         tensor::Tensor d_dense, d_pairs, flat;
-        h.run("interaction_bwd_flatten_fused", "GFLOP/s", flops, [&] {
-            std::vector<tensor::GemmOutSegment> segs = {
-                {&d_dense, d, /*zero_bias=*/true},
-                {&d_pairs, width - d, false}};
-            tensor::matmulTransBSegmented(grad, wt, segs);
-        });
-        h.run("interaction_bwd_flatten_unfused", "GFLOP/s", flops,
-              [&] {
-                  tensor::matmulTransB(grad, wt, flat);
-                  d_dense.resize(batch, d);
-                  d_pairs.resize(batch, width - d);
-                  for (std::size_t ex = 0; ex < batch; ++ex) {
-                      const float* frow = flat.row(ex);
-                      std::memcpy(d_dense.row(ex), frow,
-                                  d * sizeof(float));
-                      std::memcpy(d_pairs.row(ex), frow + d,
-                                  (width - d) * sizeof(float));
-                  }
-              });
+        h.runPair(
+            "interaction_bwd_flatten_fused",
+            "interaction_bwd_flatten_unfused", "GFLOP/s", flops,
+            [&] {
+                std::vector<tensor::GemmOutSegment> segs = {
+                    {&d_dense, d, /*zero_bias=*/true},
+                    {&d_pairs, width - d, false}};
+                tensor::matmulTransBSegmented(grad, wt, segs);
+            },
+            [&] {
+                tensor::matmulTransB(grad, wt, flat);
+                d_dense.resize(batch, d);
+                d_pairs.resize(batch, width - d);
+                for (std::size_t ex = 0; ex < batch; ++ex) {
+                    const float* frow = flat.row(ex);
+                    std::memcpy(d_dense.row(ex), frow, d * sizeof(float));
+                    std::memcpy(d_pairs.row(ex), frow + d,
+                                (width - d) * sizeof(float));
+                }
+            });
     }
 
     // --- Elementwise / reduction kernels -------------------------------

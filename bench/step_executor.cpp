@@ -1,18 +1,18 @@
 /**
  * @file
  * Step-executor benchmark with a serial-equivalence gate. Runs one
- * training step of a small DLRM two ways — the serial runGraphStep
- * walk and the dependency-aware GraphExecutor — at pool sizes 1/2/4/8,
- * verifies the executor's losses stay bitwise-identical to the serial
- * walk at every thread count, reports the graph's wavefront occupancy
+ * training step of a small DLRM two ways — the serial
+ * Dlrm::forwardBackward walk and the dependency-aware GraphExecutor —
+ * at pool sizes 1/2/4/8, verifies the executor's losses stay
+ * bitwise-identical to the serial walk at every thread count, reports the graph's wavefront occupancy
  * (how many nodes each level can run concurrently), and emits
  * BENCH_step_executor.json for CI to diff and gate on. An
  * overlap-efficiency sweep over representative placements rides along:
  * critical path / serial sum of the analytical per-node times, the
  * figure the cost model now reports per config.
  *
- * A telemetry-overhead measurement rides along: the serial walk runs
- * again with the flight recorder, a rolling step-time histogram and
+ * A telemetry-overhead measurement rides along: runGraphStep (the
+ * executor on a 1-thread pool) runs with the flight recorder, a rolling step-time histogram and
  * the periodic JSONL sampler all live, and the JSON reports the
  * enabled/disabled ratio CI gates at < 2% (ISSUE: the recorder must be
  * cheap enough to leave on). --telemetry PATH writes the sampler's
@@ -79,21 +79,19 @@ measureExamplesPerSec(F&& fn, double examples_per_iter,
 }
 
 /**
- * Train @p steps with the serial walk and with the executor (separate
- * same-seed models, same batches) and report whether every per-step
- * loss matches bitwise.
+ * Train @p steps with Dlrm::forwardBackward and with the executor
+ * (separate same-seed models, same batches) and report whether every
+ * per-step loss matches bitwise.
  */
 bool
 lossesBitwiseEqual(const model::DlrmConfig& cfg,
-                   const graph::StepGraph& graph,
                    const train::GraphExecutor& executor,
                    const std::vector<data::MiniBatch>& batches)
 {
     model::Dlrm serial_model(cfg, 1);
     model::Dlrm exec_model(cfg, 1);
     for (const auto& batch : batches) {
-        const double a =
-            train::runGraphStep(serial_model, batch, graph);
+        const double a = serial_model.forwardBackward(batch);
         const double b = executor.runStep(exec_model, batch);
         if (std::memcmp(&a, &b, sizeof(double)) != 0)
             return false;
@@ -188,7 +186,7 @@ main(int argc, char** argv)
     pool.resize(1);
     const double serial_eps = measureExamplesPerSec(
         [&] {
-            train::runGraphStep(serial_model, mb, graph);
+            serial_model.forwardBackward(mb);
             serial_model.zeroGrad();
         },
         static_cast<double>(batch), min_seconds);
@@ -210,7 +208,7 @@ main(int argc, char** argv)
             },
             static_cast<double>(batch), min_seconds);
         r.loss_equal =
-            lossesBitwiseEqual(cfg, graph, executor, check_batches);
+            lossesBitwiseEqual(cfg, executor, check_batches);
         results.push_back(r);
         std::cout << util::format(
             "executor {}t      {} examples/s  (vs serial {})  "
@@ -266,8 +264,8 @@ main(int argc, char** argv)
         }
     }
 
-    // Telemetry overhead: the same serial walk with the whole
-    // observability pipeline live — the flight recorder sampling every
+    // Telemetry overhead: runGraphStep (the executor on a 1-thread
+    // pool) with the whole observability pipeline live — the flight recorder sampling every
     // node dispatch, a rolling step-time histogram fed each step, and
     // the periodic sampler emitting JSONL in the background — vs the
     // disabled path (one relaxed load per site). CI gates the ratio

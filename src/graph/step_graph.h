@@ -22,9 +22,9 @@
  *    consumer that previously called footprint() gets identical values.
  *
  * Consumers: cost/IterationModel folds phase times over the nodes,
- * sim/dist_sim schedules the nodes as DES events, train/runGraphStep
- * executes the real nn layers node by node (tagging obs spans with the
- * node ids), and placement derives its TableCosts from the embedding
+ * sim/dist_sim schedules the nodes as DES events, train/GraphExecutor
+ * executes the real nn layers node by node through Dlrm::runNode
+ * (tagging obs spans with the node ids), and placement derives its TableCosts from the embedding
  * nodes. bench/validation_graph_breakdown lines the three up per node.
  */
 #pragma once

@@ -15,7 +15,7 @@ namespace recsim {
 namespace model {
 
 Dlrm::Dlrm(const DlrmConfig& config, uint64_t seed, double max_bytes)
-    : config_(config)
+    : config_(config), graph_(graph::buildModelStepGraph(config))
 {
     const double emb_bytes = config_.embeddingBytes();
     if (emb_bytes > max_bytes) {
@@ -333,73 +333,121 @@ Dlrm::backwardEmbeddingGroup(const std::vector<int>& group,
         backwardEmbedding(static_cast<std::size_t>(fi), batch);
 }
 
-void
-Dlrm::runForwardGraph(const data::MiniBatch& batch)
+bool
+Dlrm::fits(const graph::Node& node) const
 {
-    {
-        obs::TraceSpan mlp_span("nn.mlp.fwd");
-        for (std::size_t i = 0; i < bottom_->numLayers(); ++i)
-            forwardBottomLayer(i, batch);
-    }
-    for (std::size_t f = 0; f < tables_.size(); ++f) {
-        forwardEmbedding(f, batch);
-        if (projections_[f])
-            forwardProjection(f);
-    }
-    forwardInteraction();
-    {
-        obs::TraceSpan mlp_span("nn.mlp.fwd");
-        for (std::size_t i = 0; i < top_->numLayers(); ++i)
-            forwardTopLayer(i);
+    const auto layer = static_cast<std::size_t>(node.layer);
+    const auto table = static_cast<std::size_t>(node.table);
+    auto same_widths = [&node](const nn::Linear* linear) {
+        return linear != nullptr &&
+            linear->inFeatures() == node.in_width &&
+            linear->outFeatures() == node.out_width;
+    };
+    switch (node.kind) {
+      case graph::NodeKind::Gemm: {
+        if (node.role == graph::GemmRole::Projection)
+            return table < tables_.size() &&
+                same_widths(projections_[table].get());
+        const nn::Mlp& mlp =
+            node.role == graph::GemmRole::BottomMlp ? *bottom_ : *top_;
+        return layer < mlp.numLayers() &&
+            same_widths(&mlp.layers()[layer]);
+      }
+      case graph::NodeKind::EmbeddingLookup:
+        if (node.fused_tables.empty())
+            return table < tables_.size() &&
+                tables_[table].dim() == node.out_width;
+        return std::all_of(node.fused_tables.begin(),
+                           node.fused_tables.end(), [this](int f) {
+                               return static_cast<std::size_t>(f) <
+                                   tables_.size();
+                           });
+      case graph::NodeKind::Interaction:
+        return node.in_width == config_.emb_dim &&
+            node.out_width == config_.interactionWidth();
+      default:
+        return true;
     }
 }
 
 void
-Dlrm::runBackwardGraph(const data::MiniBatch& batch)
+Dlrm::runNode(const graph::Node& node, const data::MiniBatch& batch,
+              bool forward)
 {
-    {
-        obs::TraceSpan mlp_span("nn.mlp.bwd");
-        for (std::size_t i = top_->numLayers(); i-- > 0;)
-            backwardTopLayer(i);
-    }
-    backwardInteraction();
-    {
-        obs::TraceSpan mlp_span("nn.mlp.bwd");
-        for (std::size_t i = bottom_->numLayers(); i-- > 0;)
-            backwardBottomLayer(i, batch);
-    }
-    for (std::size_t f = 0; f < tables_.size(); ++f) {
-        if (projections_[f])
-            backwardProjection(f);
-        backwardEmbedding(f, batch);
+    RECSIM_ASSERT(batch.sparse.size() == tables_.size(),
+                  "batch has {} sparse features, model expects {}",
+                  batch.sparse.size(), tables_.size());
+    RECSIM_ASSERT(fits(node), "StepGraph node {} does not match model '{}'",
+                  node.id, config_.name);
+    const auto layer = static_cast<std::size_t>(node.layer);
+    const auto table = static_cast<std::size_t>(node.table);
+    switch (node.kind) {
+      case graph::NodeKind::Gemm:
+        if (node.role == graph::GemmRole::Projection) {
+            if (forward)
+                forwardProjection(table, node.fused_epilogue);
+            else
+                backwardProjection(table, node.fused_backward);
+        } else if (node.role == graph::GemmRole::BottomMlp) {
+            if (forward)
+                forwardBottomLayer(layer, batch, node.fused_epilogue);
+            else
+                backwardBottomLayer(layer, batch, node.fused_backward);
+        } else {
+            if (forward)
+                forwardTopLayer(layer, node.fused_epilogue);
+            else
+                backwardTopLayer(layer, node.fused_backward,
+                                 node.fused_flatten);
+        }
+        break;
+      case graph::NodeKind::EmbeddingLookup:
+        if (!node.fused_tables.empty()) {
+            if (forward)
+                forwardEmbeddingGroup(node.fused_tables, batch);
+            else
+                backwardEmbeddingGroup(node.fused_tables, batch);
+        } else {
+            if (forward)
+                forwardEmbedding(table, batch);
+            else
+                backwardEmbedding(table, batch);
+        }
+        break;
+      case graph::NodeKind::Interaction:
+        if (forward)
+            forwardInteraction();
+        else
+            backwardInteraction(node.fused_flatten);
+        break;
+      default:
+        // Loss runs between the halves; OptimizerUpdate is the
+        // caller's step(); Comm nodes have no local work.
+        break;
     }
 }
 
 void
 Dlrm::forward(const data::MiniBatch& batch, tensor::Tensor& logits)
 {
-    RECSIM_ASSERT(batch.sparse.size() == tables_.size(),
-                  "batch has {} sparse features, model expects {}",
-                  batch.sparse.size(), tables_.size());
     RECSIM_TRACE_SPAN("model.fwd");
-    runForwardGraph(batch);
+    for (const auto& node : graph_.nodes)
+        runNode(node, batch, /*forward=*/true);
     logits = logits_;
 }
 
 double
 Dlrm::forwardBackward(const data::MiniBatch& batch)
 {
-    RECSIM_ASSERT(batch.sparse.size() == tables_.size(),
-                  "batch has {} sparse features, model expects {}",
-                  batch.sparse.size(), tables_.size());
-    double loss = 0.0;
     {
         RECSIM_TRACE_SPAN("model.fwd");
-        runForwardGraph(batch);
+        for (const auto& node : graph_.nodes)
+            runNode(node, batch, /*forward=*/true);
     }
-    loss = lossBackward(batch);
+    const double loss = lossBackward(batch);
     RECSIM_TRACE_SPAN("model.bwd");
-    runBackwardGraph(batch);
+    for (auto it = graph_.nodes.rbegin(); it != graph_.nodes.rend(); ++it)
+        runNode(*it, batch, /*forward=*/false);
     return loss;
 }
 

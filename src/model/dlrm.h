@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "data/dataset.h"
+#include "graph/step_graph.h"
 #include "model/config.h"
 #include "nn/embedding_bag.h"
 #include "nn/interaction.h"
@@ -43,28 +44,56 @@ class Dlrm
     explicit Dlrm(const DlrmConfig& config, uint64_t seed = 1,
                   double max_bytes = 4.0 * (1ULL << 30));
 
-    /** Forward pass only; fills logits [B, 1]. */
+    /**
+     * Forward pass only: runNode() over graph() in node order. Fills
+     * logits [B, 1].
+     */
     void forward(const data::MiniBatch& batch, tensor::Tensor& logits);
 
     /**
-     * Forward + loss + full backward. Dense grads accumulate in the
-     * MLP layers; sparse grads are stored per table (see sparseGrads()).
+     * Forward + loss + full backward: runNode() over graph() in node
+     * order, lossBackward(), then the nodes again in reverse. The
+     * unfused serial reference every other walk is held bitwise equal
+     * to. Dense grads accumulate in the MLP layers; sparse grads are
+     * stored per table (see sparseGrads()).
      * @return Mean BCE loss of the batch.
      */
     double forwardBackward(const data::MiniBatch& batch);
 
     // --- Graph-walk execution -------------------------------------
-    // Stepwise primitives mapping 1:1 onto the StepGraph nodes of one
-    // training step (graph/step_graph.h): bottom_mlp.l{i} -> the
+    // Every walk of a step — forward()/forwardBackward() over graph(),
+    // and train::GraphExecutor over any StepGraph — runs each node
+    // through runNode(), the one place a graph::Node maps onto the
+    // stepwise primitives below: bottom_mlp.l{i} -> the
     // forward/backwardBottomLayer pair, emb.t{f} -> *Embedding,
-    // proj.t{f} -> *Projection, and so on. Visiting the nodes in graph
-    // order (reversed for the backward half) reproduces forward() /
-    // forwardBackward() exactly — that walk lives in
-    // train::runGraphStep, which tags an obs span with each node id.
-    // Each primitive assumes the ones its node depends on already ran.
-    // The MLP/projection primitives take @p fused from the node's
-    // fused_epilogue flag (graph::fusePass): the bias (+ ReLU) runs as
-    // the GEMM's epilogue. Bitwise identical either way.
+    // emb.grouped.g{k} -> *EmbeddingGroup, proj.t{f} -> *Projection,
+    // and so on. Each primitive assumes the ones its node depends on
+    // already ran. The MLP/projection primitives take @p fused from
+    // the node's fused_epilogue flag (graph::fusePass): the bias
+    // (+ ReLU) runs as the GEMM's epilogue. Bitwise identical either
+    // way.
+
+    /**
+     * Run @p node's forward (or, with @p forward false, backward)
+     * primitive on @p batch, dispatching on the node's fusion flags.
+     * Loss, OptimizerUpdate and Comm nodes have no primitive here and
+     * are skipped: the loss runs between the halves (lossBackward())
+     * and the update is the caller's step(). Panics when the node
+     * names a layer or table this model does not have, or disagrees
+     * with it on widths, and when @p batch does not carry one sparse
+     * feature per table — a graph or batch built for another config.
+     */
+    void runNode(const graph::Node& node, const data::MiniBatch& batch,
+                 bool forward);
+
+    /**
+     * The unfused StepGraph of this model's config, built at
+     * construction. forward()/forwardBackward() walk it in node order
+     * (reversed for the backward half); the serving engine prunes it
+     * to its forward subgraph, the trainer fuses a copy.
+     */
+    const graph::StepGraph& graph() const { return graph_; }
+
     void forwardBottomLayer(std::size_t i, const data::MiniBatch& batch,
                             bool fused = false);
     void forwardEmbedding(std::size_t f, const data::MiniBatch& batch);
@@ -187,12 +216,13 @@ class Dlrm
     std::size_t numDenseParams() const;
 
   private:
-    /** The forward graph walk shared by forward() and the trainer. */
-    void runForwardGraph(const data::MiniBatch& batch);
-    /** The backward graph walk (after lossBackward()). */
-    void runBackwardGraph(const data::MiniBatch& batch);
+    /** True when @p node names a layer or table of this model with
+     *  matching widths; Loss, OptimizerUpdate and Comm nodes fit any
+     *  model. */
+    bool fits(const graph::Node& node) const;
 
     DlrmConfig config_;
+    graph::StepGraph graph_;
     std::unique_ptr<nn::Mlp> bottom_;
     std::unique_ptr<nn::Mlp> top_;
     std::vector<nn::EmbeddingBag> tables_;

@@ -28,7 +28,7 @@ InferenceEngine::InferenceEngine(const model::DlrmConfig& config,
                                  uint64_t seed, util::ThreadPool& pool)
     : config_(config),
       model_(std::make_unique<model::Dlrm>(config, seed)),
-      graph_(graph::forwardSubgraph(graph::buildModelStepGraph(config)))
+      graph_(graph::forwardSubgraph(model_->graph()))
 {
     executor_ = std::make_unique<train::GraphExecutor>(graph_, pool);
 }

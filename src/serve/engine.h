@@ -1,7 +1,7 @@
 /**
  * @file
  * Forward-only inference engine: the back of the serving stack. Lowers
- * the model's StepGraph to its forward subgraph (the exact compute
+ * the StepGraph the model owns (Dlrm::graph()) to its forward subgraph (the exact compute
  * nodes the trainer runs, minus loss/optimizer/comm) and executes it
  * with the dependency-aware GraphExecutor on the shared ThreadPool —
  * so serving scores are bitwise-identical to the training forward

@@ -22,42 +22,6 @@ executableNode(const graph::Node& node)
 }
 
 /**
- * Keeps one "nn.mlp.fwd"/"nn.mlp.bwd" span open across the run of Gemm
- * nodes that belong to the same MLP stack, so the graph walk emits the
- * same stack-level spans Mlp::forward()/backward() do, with the
- * per-node spans nested inside. Like TraceSpan, the begin/end pairing
- * survives the tracing flag flipping mid-span.
- */
-class MlpSpanGroup
-{
-  public:
-    ~MlpSpanGroup() { close(); }
-
-    void open(const char* name)
-    {
-        if (open_)
-            return;
-        open_ = true;
-        if (obs::Tracer::enabled()) {
-            obs::Tracer::global().beginSpan(name);
-            traced_ = true;
-        }
-    }
-
-    void close()
-    {
-        if (open_ && traced_)
-            obs::Tracer::global().endSpan();
-        open_ = false;
-        traced_ = false;
-    }
-
-  private:
-    bool open_ = false;
-    bool traced_ = false;
-};
-
-/**
  * RAII flight-recorder sample around one node dispatch: when the
  * recorder is enabled, times the enclosed work and records it on the
  * node's channel (one sample per visit — the forward and backward
@@ -68,20 +32,15 @@ class MlpSpanGroup
 class NodeSample
 {
   public:
-    /** Channel already interned (GraphExecutor's cached ids). */
     NodeSample(uint32_t channel, uint64_t step, uint32_t rows)
     {
-        if (obs::recorderEnabled())
-            arm(channel, step, rows);
-    }
-
-    /** Channel known but the site may be inactive (the serial walk's
-     *  non-executable nodes, or recording off). */
-    NodeSample(bool active, uint32_t channel, uint64_t step,
-               uint32_t rows)
-    {
-        if (active)
-            arm(channel, step, rows);
+        if (obs::recorderEnabled()) {
+            recorder_ = &obs::FlightRecorder::global();
+            channel_ = channel;
+            step_ = step;
+            rows_ = rows;
+            start_ns_ = recorder_->nowNs();
+        }
     }
 
     ~NodeSample()
@@ -98,15 +57,6 @@ class NodeSample
     NodeSample& operator=(const NodeSample&) = delete;
 
   private:
-    void arm(uint32_t channel, uint64_t step, uint32_t rows)
-    {
-        recorder_ = &obs::FlightRecorder::global();
-        channel_ = channel;
-        step_ = step;
-        rows_ = rows;
-        start_ns_ = recorder_->nowNs();
-    }
-
     obs::FlightRecorder* recorder_ = nullptr;
     uint32_t channel_ = 0;
     uint32_t rows_ = 0;
@@ -114,45 +64,20 @@ class NodeSample
     uint64_t start_ns_ = 0;
 };
 
-/** Step tags for serial runGraphStep() samples (no executor state). */
-std::atomic<uint64_t> g_serial_steps{0};
-
 /**
- * Channel ids for a graph's nodes, interned once and memoized: the
- * serial walk asks per step, and paying the recorder's intern mutex
- * per node visit is what the telemetry overhead budget cannot afford.
- * Keyed on identity (address + node count + last node id) so a rebuilt
- * graph re-interns; thread_local because several driver threads may
- * walk different graphs concurrently.
+ * Recorder step tags, shared by every executor in the process so that
+ * samples from different executors — runGraphStep() builds one per
+ * call — never share a tag.
  */
-const std::vector<uint32_t>&
-graphNodeChannels(const graph::StepGraph& graph)
-{
-    struct Cache
-    {
-        const graph::StepGraph* graph = nullptr;
-        std::string last_id;
-        std::vector<uint32_t> channels;
-    };
-    thread_local Cache cache;
-    const bool hit = cache.graph == &graph &&
-        cache.channels.size() == graph.nodes.size() &&
-        (graph.nodes.empty() ||
-         cache.last_id == graph.nodes.back().id);
-    if (!hit) {
-        auto& recorder = obs::FlightRecorder::global();
-        cache.channels.clear();
-        cache.channels.reserve(graph.nodes.size());
-        for (const auto& node : graph.nodes)
-            cache.channels.push_back(recorder.internChannel(node.id));
-        cache.graph = &graph;
-        cache.last_id =
-            graph.nodes.empty() ? std::string() : graph.nodes.back().id;
-    }
-    return cache.channels;
-}
+std::atomic<uint64_t> g_steps_issued{0};
 
-const std::vector<uint32_t> kNoChannels;
+uint64_t
+nextStepTag()
+{
+    return obs::recorderEnabled()
+        ? g_steps_issued.fetch_add(1, std::memory_order_relaxed)
+        : 0;
+}
 
 } // namespace
 
@@ -160,130 +85,11 @@ double
 runGraphStep(model::Dlrm& model, const data::MiniBatch& batch,
              const graph::StepGraph& graph)
 {
-    RECSIM_ASSERT(graph.emb_dim == model.config().emb_dim &&
-                  graph.num_dense == model.config().num_dense,
-                  "StepGraph was built for a different model config");
-
-    const bool recording = obs::recorderEnabled();
-    const uint64_t step = recording
-        ? g_serial_steps.fetch_add(1, std::memory_order_relaxed)
-        : 0;
-    const uint32_t rows = static_cast<uint32_t>(batch.batchSize());
-    const std::vector<uint32_t>& channels =
-        recording ? graphNodeChannels(graph) : kNoChannels;
-
-    double loss = 0.0;
-    {
-        RECSIM_TRACE_SPAN("model.fwd");
-        MlpSpanGroup mlp;
-        for (std::size_t i = 0; i < graph.nodes.size(); ++i) {
-            const auto& node = graph.nodes[i];
-            NodeSample sample(recording && executableNode(node),
-                              recording ? channels[i] : 0, step, rows);
-            switch (node.kind) {
-              case graph::NodeKind::Gemm:
-                if (node.role == graph::GemmRole::Projection) {
-                    mlp.close();
-                    obs::TraceSpan span(node.id.c_str());
-                    model.forwardProjection(
-                        static_cast<std::size_t>(node.table),
-                        node.fused_epilogue);
-                } else {
-                    mlp.open("nn.mlp.fwd");
-                    obs::TraceSpan span(node.id.c_str());
-                    if (node.role == graph::GemmRole::BottomMlp)
-                        model.forwardBottomLayer(
-                            static_cast<std::size_t>(node.layer), batch,
-                            node.fused_epilogue);
-                    else
-                        model.forwardTopLayer(
-                            static_cast<std::size_t>(node.layer),
-                            node.fused_epilogue);
-                }
-                break;
-              case graph::NodeKind::EmbeddingLookup: {
-                mlp.close();
-                obs::TraceSpan span(node.id.c_str());
-                if (!node.fused_tables.empty())
-                    model.forwardEmbeddingGroup(node.fused_tables,
-                                                batch);
-                else
-                    model.forwardEmbedding(
-                        static_cast<std::size_t>(node.table), batch);
-                break;
-              }
-              case graph::NodeKind::Interaction: {
-                mlp.close();
-                obs::TraceSpan span(node.id.c_str());
-                model.forwardInteraction();
-                break;
-              }
-              default:
-                // Loss runs between the halves; OptimizerUpdate is the
-                // caller's step(); Comm nodes have no local work.
-                mlp.close();
-                break;
-            }
-        }
-    }
-
-    {
-        obs::TraceSpan span("loss");
-        loss = model.lossBackward(batch);
-    }
-
-    {
-        RECSIM_TRACE_SPAN("model.bwd");
-        MlpSpanGroup mlp;
-        for (std::size_t i = graph.nodes.size(); i-- > 0;) {
-            const auto& node = graph.nodes[i];
-            NodeSample sample(recording && executableNode(node),
-                              recording ? channels[i] : 0, step, rows);
-            switch (node.kind) {
-              case graph::NodeKind::Gemm:
-                if (node.role == graph::GemmRole::Projection) {
-                    mlp.close();
-                    obs::TraceSpan span(node.id.c_str());
-                    model.backwardProjection(
-                        static_cast<std::size_t>(node.table),
-                        node.fused_backward);
-                } else {
-                    mlp.open("nn.mlp.bwd");
-                    obs::TraceSpan span(node.id.c_str());
-                    if (node.role == graph::GemmRole::BottomMlp)
-                        model.backwardBottomLayer(
-                            static_cast<std::size_t>(node.layer), batch,
-                            node.fused_backward);
-                    else
-                        model.backwardTopLayer(
-                            static_cast<std::size_t>(node.layer),
-                            node.fused_backward, node.fused_flatten);
-                }
-                break;
-              case graph::NodeKind::EmbeddingLookup: {
-                mlp.close();
-                obs::TraceSpan span(node.id.c_str());
-                if (!node.fused_tables.empty())
-                    model.backwardEmbeddingGroup(node.fused_tables,
-                                                 batch);
-                else
-                    model.backwardEmbedding(
-                        static_cast<std::size_t>(node.table), batch);
-                break;
-              }
-              case graph::NodeKind::Interaction: {
-                mlp.close();
-                obs::TraceSpan span(node.id.c_str());
-                model.backwardInteraction(node.fused_flatten);
-                break;
-              }
-              default:
-                mlp.close();
-                break;
-            }
-        }
-    }
-    return loss;
+    // A 1-thread pool runs a wave's nodes inline on the caller without
+    // marking it as inside a pool task, so every node's kernels still
+    // spread over the global pool exactly as in Dlrm::forwardBackward.
+    static util::ThreadPool serial_pool(1);
+    return GraphExecutor(graph, serial_pool).runStep(model, batch);
 }
 
 GraphExecutor::GraphExecutor(const graph::StepGraph& graph,
@@ -364,69 +170,15 @@ GraphExecutor::dispatch(std::size_t node_index, model::Dlrm& model,
                         const data::MiniBatch& batch, bool forward,
                         uint64_t step) const
 {
-    const graph::Node& node = graph_->nodes[node_index];
     // The span opens on the executing thread, so concurrent nodes land
-    // on their worker's track under the same node-id names the serial
-    // walk, the cost model and the DES report. The recorder sample
-    // lands on the worker's stripe under the same id.
+    // on their worker's track under the same node-id names the cost
+    // model and the DES report. The recorder sample lands on the
+    // worker's stripe under the same id.
+    const graph::Node& node = graph_->nodes[node_index];
     NodeSample sample(node_channels_[node_index], step,
                       static_cast<uint32_t>(batch.batchSize()));
     obs::TraceSpan span(node.id.c_str());
-    switch (node.kind) {
-      case graph::NodeKind::Gemm:
-        if (node.role == graph::GemmRole::Projection) {
-            if (forward)
-                model.forwardProjection(
-                    static_cast<std::size_t>(node.table),
-                    node.fused_epilogue);
-            else
-                model.backwardProjection(
-                    static_cast<std::size_t>(node.table),
-                    node.fused_backward);
-        } else if (node.role == graph::GemmRole::BottomMlp) {
-            if (forward)
-                model.forwardBottomLayer(
-                    static_cast<std::size_t>(node.layer), batch,
-                    node.fused_epilogue);
-            else
-                model.backwardBottomLayer(
-                    static_cast<std::size_t>(node.layer), batch,
-                    node.fused_backward);
-        } else {
-            if (forward)
-                model.forwardTopLayer(
-                    static_cast<std::size_t>(node.layer),
-                    node.fused_epilogue);
-            else
-                model.backwardTopLayer(
-                    static_cast<std::size_t>(node.layer),
-                    node.fused_backward, node.fused_flatten);
-        }
-        break;
-      case graph::NodeKind::EmbeddingLookup:
-        if (forward) {
-            if (!node.fused_tables.empty())
-                model.forwardEmbeddingGroup(node.fused_tables, batch);
-            else
-                model.forwardEmbedding(
-                    static_cast<std::size_t>(node.table), batch);
-        } else {
-            if (!node.fused_tables.empty())
-                model.backwardEmbeddingGroup(node.fused_tables, batch);
-            else
-                model.backwardEmbedding(
-                    static_cast<std::size_t>(node.table), batch);
-        }
-        break;
-      case graph::NodeKind::Interaction:
-        if (forward)
-            model.forwardInteraction();
-        else
-            model.backwardInteraction(node.fused_flatten);
-        break;
-      default:
-        util::panic("GraphExecutor dispatched a non-executable node");
-    }
+    model.runNode(node, batch, forward);
 }
 
 void
@@ -443,7 +195,8 @@ GraphExecutor::runWave(const std::vector<std::size_t>& wave,
     // Grain 1: one node per pool task. Each node writes only its own
     // layer/table buffers, and its inner kernel parallelFor runs
     // inline on the worker (nested-submit rule) with the same chunk
-    // geometry as the serial walk — hence bit-identical results.
+    // geometry as a walk on the calling thread — hence bit-identical
+    // results.
     pool_->parallelFor(
         0, wave.size(), 1, [&](std::size_t lo, std::size_t hi) {
             for (std::size_t k = lo; k < hi; ++k)
@@ -455,12 +208,7 @@ void
 GraphExecutor::runForward(model::Dlrm& model,
                           const data::MiniBatch& batch) const
 {
-    RECSIM_ASSERT(graph_->emb_dim == model.config().emb_dim &&
-                  graph_->num_dense == model.config().num_dense,
-                  "StepGraph was built for a different model config");
-    const uint64_t step = obs::recorderEnabled()
-        ? steps_issued_.fetch_add(1, std::memory_order_relaxed)
-        : 0;
+    const uint64_t step = nextStepTag();
     RECSIM_TRACE_SPAN("model.fwd");
     for (const auto& wave : fwd_waves_)
         runWave(wave, model, batch, /*forward=*/true, step);
@@ -470,13 +218,7 @@ double
 GraphExecutor::runStep(model::Dlrm& model,
                        const data::MiniBatch& batch) const
 {
-    RECSIM_ASSERT(graph_->emb_dim == model.config().emb_dim &&
-                  graph_->num_dense == model.config().num_dense,
-                  "StepGraph was built for a different model config");
-
-    const uint64_t step = obs::recorderEnabled()
-        ? steps_issued_.fetch_add(1, std::memory_order_relaxed)
-        : 0;
+    const uint64_t step = nextStepTag();
     double loss = 0.0;
     {
         RECSIM_TRACE_SPAN("model.fwd");

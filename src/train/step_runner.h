@@ -1,17 +1,18 @@
 /**
  * @file
  * Graph-walk execution of one training step: the real trainer's side of
- * the "one iteration, one source of truth" contract. runGraphStep walks
- * the model's StepGraph (graph/step_graph.h) node by node, dispatching
- * each node to the matching Dlrm stepwise primitive and tagging an obs
- * trace span with the node's id — the same ids the analytical
- * nodeBreakdown() and the DES's node_seconds report under, so measured,
- * predicted and simulated per-node times line up
- * (bench/validation_graph_breakdown).
+ * the "one iteration, one source of truth" contract. GraphExecutor is
+ * the one walker of a StepGraph: it runs the graph's nodes in
+ * dependency waves, hands each node to Dlrm::runNode (the one mapping
+ * from a graph::Node to the model's primitives) and tags it with an obs
+ * trace span and a flight-recorder sample named by the node's id — the
+ * same ids the analytical nodeBreakdown() and the DES's node_seconds
+ * report under, so measured, predicted and simulated per-node times
+ * line up (bench/validation_graph_breakdown). runGraphStep is the
+ * executor on a 1-thread pool.
  */
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -24,14 +25,17 @@ namespace recsim {
 namespace train {
 
 /**
- * Execute the forward + loss + backward of one step by walking
- * @p graph in node order (reversed for the backward half).
+ * Execute the forward + loss + backward of one step: a GraphExecutor
+ * over @p graph on a 1-thread pool, so the nodes of a wave run one
+ * after another on the calling thread while each node's kernels still
+ * use the global pool.
  *
- * Numerically identical to model.forwardBackward(batch): the walk
- * visits the same primitives in an equivalent order. @p graph must be
- * built from the same DlrmConfig the model was instantiated with
- * (checked). Comm nodes are skipped — this is the single-process
- * trainer — and the OptimizerUpdate node is the caller's step().
+ * Bit-identical to model.forwardBackward(batch) when @p graph is the
+ * unfused graph of the model's config, and to it or any other walk of
+ * the same step when fused (the fusion contract). @p graph and
+ * @p batch must match the model (checked by Dlrm::runNode). Comm nodes
+ * are skipped — this is the single-process trainer — and the
+ * OptimizerUpdate node is the caller's step().
  *
  * @return Mean BCE loss of the batch.
  */
@@ -42,7 +46,7 @@ double runGraphStep(model::Dlrm& model, const data::MiniBatch& batch,
  * Dependency-aware parallel execution of one training step.
  *
  * Construction partitions the graph's executable nodes (Gemm,
- * EmbeddingLookup, Interaction — the nodes runGraphStep dispatches to
+ * EmbeddingLookup, Interaction — the nodes Dlrm::runNode maps to
  * model primitives) into forward *wavefronts*: wave k holds every node
  * whose longest dependency chain through executable nodes has length
  * k. Non-executable nodes (Loss runs between the halves, Optimizer is
@@ -57,23 +61,24 @@ double runGraphStep(model::Dlrm& model, const data::MiniBatch& batch,
  * overlap, which is where the paper's CPU iteration time goes
  * (Figs 9-11).
  *
- * Determinism: results are bit-identical to runGraphStep() at any
- * pool size. Wave membership depends only on the graph; every node
+ * Determinism: results are bit-identical to Dlrm::forwardBackward()
+ * at any pool size. Wave membership depends only on the graph; every node
  * writes only its own per-table / per-layer buffers inside the model;
  * and nested kernel parallelFors issued from a wave worker run inline
- * with the same chunk geometry as the serial walk (ThreadPool
- * guarantee), so each node's arithmetic is unchanged — only the
- * interleaving across *independent* nodes varies.
+ * with the same chunk geometry as a walk on the calling thread
+ * (ThreadPool guarantee), so each node's arithmetic is unchanged —
+ * only the interleaving across *independent* nodes varies.
  *
  * Obs spans: "model.fwd", "loss" and "model.bwd" open on the calling
- * thread exactly as in runGraphStep(); per-node spans open on
- * whichever worker runs the node, landing on that thread's track
- * (the Tracer is thread-safe for concurrent begin/end).
+ * thread; per-node spans open on whichever worker runs the node,
+ * landing on that thread's track (the Tracer is thread-safe for
+ * concurrent begin/end).
  *
  * Flight recorder: when obs::recorderEnabled(), every dispatched node
  * records one sample per visit on a channel named by the node id
- * (interned once at construction), tagged with the executor's step
- * counter and the batch row count — the measured side the
+ * (interned once at construction), tagged with a step number drawn
+ * from one process-wide counter (so steps of different executors
+ * never share a tag) and the batch row count — the measured side the
  * obs::DriftMonitor folds against cost::IterationModel predictions.
  * Disabled cost is one relaxed atomic load per node.
  */
@@ -93,9 +98,9 @@ class GraphExecutor
 
     /**
      * Forward + loss + backward of one step, waves dispatched in
-     * parallel. Same contract as runGraphStep(): @p graph must match
-     * the model's config (checked), and the return value / model
-     * state are bit-identical to the serial walk.
+     * parallel. The graph and @p batch must match the model (checked
+     * by Dlrm::runNode), and the return value / model state are
+     * bit-identical to Dlrm::forwardBackward().
      *
      * @return Mean BCE loss of the batch.
      */
@@ -106,8 +111,7 @@ class GraphExecutor
      * Forward pass only: the forward waves dispatched in parallel, no
      * loss and no backward — the serving path (serve/engine.h). The
      * model's logits afterwards are bit-identical to
-     * Dlrm::forward() / the forward half of runGraphStep() on the
-     * same batch at any pool size. Usable with a full training graph
+     * Dlrm::forward() on the same batch at any pool size. Usable with a full training graph
      * or with a graph::forwardSubgraph()-pruned one (both yield the
      * same forward waves, since pruning only drops nodes the schedule
      * already looked through).
@@ -141,8 +145,6 @@ class GraphExecutor
     std::vector<std::vector<std::size_t>> bwd_waves_;
     /** Flight-recorder channel per node, interned at construction. */
     std::vector<uint32_t> node_channels_;
-    /** Steps/forwards issued, tagging recorder samples. */
-    mutable std::atomic<uint64_t> steps_issued_{0};
 };
 
 } // namespace train

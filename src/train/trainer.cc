@@ -73,8 +73,8 @@ trainSingleThread(const model::DlrmConfig& model_config,
     // consume drives the real training loop (train/step_runner.h).
     // The executor dispatches independent nodes (per-table lookups,
     // projections, bottom MLP) concurrently; results are bit-identical
-    // to the serial runGraphStep() walk at any RECSIM_THREADS.
-    graph::StepGraph graph = graph::buildModelStepGraph(model_config);
+    // to Dlrm::forwardBackward() at any RECSIM_THREADS.
+    graph::StepGraph graph = model.graph();
     if (config.fuse_graph)
         graph::fusePass(graph);
     const GraphExecutor executor(graph);

@@ -3,16 +3,18 @@
  * Tests for train::GraphExecutor, the dependency-aware step executor:
  * its wavefront schedule must cover every executable node exactly once,
  * and a training run through it must stay bitwise-identical to the
- * serial runGraphStep walk at every thread-pool size — losses per step
- * and final dense parameters alike. The equivalence is the whole
+ * serial Dlrm::forwardBackward walk at every thread-pool size — losses
+ * per step and final dense parameters alike. The equivalence is the whole
  * contract: inter-op parallelism is only admissible because it cannot
  * change a single bit of the result.
  */
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "cost/iteration_model.h"
@@ -23,6 +25,9 @@
 #include "nn/linear.h"
 #include "nn/mlp.h"
 #include "nn/optimizer.h"
+#include "obs/drift.h"
+#include "obs/flight_recorder.h"
+#include "obs/trace.h"
 #include "tensor/simd.h"
 #include "train/step_runner.h"
 #include "util/random.h"
@@ -80,13 +85,12 @@ expectParamsBitwiseEqual(model::Dlrm& a, model::Dlrm& b,
 }
 
 /**
- * Train @p steps via the serial walk and via the executor on same-seed
- * models with identical batches, applying SGD each step, and require
- * bitwise-equal losses and final parameters.
+ * Train @p steps via Dlrm::forwardBackward and via the executor on
+ * same-seed models with identical batches, applying SGD each step, and
+ * require bitwise-equal losses and final parameters.
  */
 void
 checkSerialEquivalence(const model::DlrmConfig& cfg,
-                       const graph::StepGraph& graph,
                        const GraphExecutor& executor,
                        std::size_t threads)
 {
@@ -101,7 +105,7 @@ checkSerialEquivalence(const model::DlrmConfig& cfg,
     const nn::Sgd sgd(0.05f);
     for (std::size_t step = 0; step < 5; ++step) {
         const auto batch = ds.nextBatch(32);
-        const double a = runGraphStep(serial_model, batch, graph);
+        const double a = serial_model.forwardBackward(batch);
         const double b = executor.runStep(exec_model, batch);
         EXPECT_TRUE(bitwiseEqual(a, b))
             << context << " step " << step << ": " << a << " vs " << b;
@@ -118,7 +122,7 @@ TEST(GraphExecutor, BitwiseEqualToSerialWalkAcrossThreadCounts)
         const auto graph = graph::buildModelStepGraph(cfg);
         const GraphExecutor executor(graph);
         for (const std::size_t threads : {1u, 2u, 8u})
-            checkSerialEquivalence(cfg, graph, executor, threads);
+            checkSerialEquivalence(cfg, executor, threads);
     }
 }
 
@@ -171,7 +175,6 @@ TEST(GraphExecutor, FusedBackwardGradsBitwiseEqualToUnfused)
     // post-SGD parameter check: nothing can hide in the update.
     auto& pool = util::globalThreadPool();
     for (const auto& cfg : modelZoo()) {
-        const auto unfused = graph::buildModelStepGraph(cfg);
         auto fused_graph = graph::buildModelStepGraph(cfg);
         graph::fusePass(fused_graph);
         const GraphExecutor executor(fused_graph);
@@ -185,8 +188,7 @@ TEST(GraphExecutor, FusedBackwardGradsBitwiseEqualToUnfused)
             model::Dlrm fused_exec(cfg, 3);
             data::SyntheticCtrDataset ds(datasetFor(cfg));
             const auto batch = ds.nextBatch(32);
-            const double a =
-                runGraphStep(unfused_model, batch, unfused);
+            const double a = unfused_model.forwardBackward(batch);
             const double b =
                 runGraphStep(fused_serial, batch, fused_graph);
             const double c = executor.runStep(fused_exec, batch);
@@ -210,7 +212,6 @@ TEST(GraphExecutor, FusedGraphBitwiseEqualToUnfusedSerialWalk)
     // license for the fusion pass.
     auto& pool = util::globalThreadPool();
     for (const auto& cfg : modelZoo()) {
-        const auto unfused = graph::buildModelStepGraph(cfg);
         auto fused_graph = graph::buildModelStepGraph(cfg);
         graph::fusePass(fused_graph);
         ASSERT_NE(fused_graph.find("emb.grouped.g0"), nullptr);
@@ -227,8 +228,7 @@ TEST(GraphExecutor, FusedGraphBitwiseEqualToUnfusedSerialWalk)
             const nn::Sgd sgd(0.05f);
             for (std::size_t step = 0; step < 5; ++step) {
                 const auto batch = ds.nextBatch(32);
-                const double a =
-                    runGraphStep(unfused_model, batch, unfused);
+                const double a = unfused_model.forwardBackward(batch);
                 const double b =
                     runGraphStep(fused_serial, batch, fused_graph);
                 const double c = executor.runStep(fused_exec, batch);
@@ -252,8 +252,8 @@ TEST(GraphExecutor, FusedGraphBitwiseEqualToUnfusedSerialWalk)
 TEST(GraphExecutor, BoundGraphSchedulesLikeComputeSkeleton)
 {
     // A placement-bound graph carries Comm/Loss/Optimizer nodes the
-    // executor must look through; the result must still match the
-    // serial walk over the same bound graph.
+    // executor must look through; the result must still match
+    // Dlrm::forwardBackward.
     const auto cfg = model::DlrmConfig::tinyReplica(8, 13, 2000, 16);
     const auto sys = cost::SystemConfig::cpuSetup(2, 3, 1, 200, 1);
     const cost::IterationModel im(cfg, sys);
@@ -262,7 +262,7 @@ TEST(GraphExecutor, BoundGraphSchedulesLikeComputeSkeleton)
 
     const GraphExecutor executor(bound);
     for (const std::size_t threads : {1u, 8u})
-        checkSerialEquivalence(cfg, bound, executor, threads);
+        checkSerialEquivalence(cfg, executor, threads);
 }
 
 TEST(GraphExecutor, ForwardSubgraphMatchesTrainingForwardBitwise)
@@ -280,8 +280,8 @@ TEST(GraphExecutor, ForwardSubgraphMatchesTrainingForwardBitwise)
         for (std::size_t step = 0; step < 3; ++step) {
             const auto batch = ds.nextBatch(32);
 
-            // Serial reference: the forward half of runGraphStep
-            // (identical to Dlrm::forward by the PR-4 contract).
+            // Serial reference: Dlrm::forward, the forward half of
+            // the unfused walk.
             model::Dlrm ref_model(cfg, 3);
             tensor::Tensor ref_logits;
             ref_model.forward(batch, ref_logits);
@@ -466,6 +466,155 @@ TEST(GraphExecutor, ForwardWavesRespectDependencies)
         }
     }
 }
+
+TEST(GraphExecutorDeathTest, GraphNamingTablesTheModelLacksPanics)
+{
+    // Same emb_dim and num_dense, two more tables: the graph's
+    // emb.t4 / emb.t5 nodes name tables the model does not have.
+    util::globalThreadPool().resize(1);
+    const auto cfg = model::DlrmConfig::tinyReplica(4, 8, 500, 8);
+    auto wider = cfg;
+    wider.sparse.push_back(cfg.sparse.back());
+    wider.sparse.push_back(cfg.sparse.back());
+    const auto graph = graph::buildModelStepGraph(wider);
+    const GraphExecutor executor(graph);
+    model::Dlrm model(cfg, 3);
+    data::SyntheticCtrDataset ds(datasetFor(cfg));
+    const auto batch = ds.nextBatch(16);
+    EXPECT_DEATH(executor.runStep(model, batch),
+                 "StepGraph node emb.t4 does not match model");
+}
+
+TEST(GraphExecutorDeathTest, BatchWithTooFewSparseFeaturesPanics)
+{
+    // A batch carrying 2 sparse features for a 4-table model, through
+    // the training step and through the serving forward.
+    util::globalThreadPool().resize(1);
+    const auto cfg = model::DlrmConfig::tinyReplica(4, 8, 500, 8);
+    const auto graph = graph::buildModelStepGraph(cfg);
+    const GraphExecutor executor(graph);
+    model::Dlrm model(cfg, 3);
+    data::SyntheticCtrDataset ds(
+        datasetFor(model::DlrmConfig::tinyReplica(2, 8, 500, 8)));
+    const auto batch = ds.nextBatch(16);
+    EXPECT_DEATH(executor.runStep(model, batch),
+                 "batch has 2 sparse features, model expects 4");
+    EXPECT_DEATH(executor.runForward(model, batch),
+                 "batch has 2 sparse features, model expects 4");
+}
+
+#ifndef RECSIM_OBS_DISABLED
+bool
+executable(const graph::Node& node)
+{
+    return node.kind == graph::NodeKind::Gemm ||
+        node.kind == graph::NodeKind::EmbeddingLookup ||
+        node.kind == graph::NodeKind::Interaction;
+}
+
+TEST(GraphExecutor, SerialStepsTagDistinctStepsForDriftMonitor)
+{
+    // runGraphStep builds a fresh executor per call; the recorder
+    // samples of consecutive calls must still carry distinct step
+    // tags, so the drift monitor folds each node's forward and
+    // backward visits into one total per node per step.
+    util::globalThreadPool().resize(1);
+    const auto cfg = model::DlrmConfig::tinyReplica(4, 8, 500, 8);
+    const auto graph = graph::buildModelStepGraph(cfg);
+    model::Dlrm model(cfg, 3);
+    data::SyntheticCtrDataset ds(datasetFor(cfg));
+    auto& rec = obs::FlightRecorder::global();
+    rec.configure(1 << 14);
+    rec.setEnabled(true);
+    constexpr std::size_t kSteps = 2;
+    for (std::size_t step = 0; step < kSteps; ++step) {
+        runGraphStep(model, ds.nextBatch(16), graph);
+        model.zeroGrad();
+    }
+    rec.setEnabled(false);
+    const auto samples = rec.snapshot();
+    const auto names = rec.channels();
+
+    std::map<std::string, std::map<uint64_t, int>> visits;
+    for (const auto& sample : samples)
+        ++visits[names[sample.channel]][sample.step];
+    std::map<std::string, double> predicted;
+    for (const auto& node : graph.nodes) {
+        if (!executable(node))
+            continue;
+        predicted[node.id] = 1e-3;
+        const auto& tags = visits[node.id];
+        EXPECT_EQ(tags.size(), kSteps) << node.id;
+        for (const auto& [tag, count] : tags)
+            EXPECT_EQ(count, 2) << node.id << " step " << tag;
+    }
+
+    obs::DriftMonitor monitor(predicted);
+    monitor.ingest(rec, samples);
+    const obs::DriftReport report = monitor.report();
+    ASSERT_EQ(report.nodes.size(), predicted.size());
+    for (const auto& node : report.nodes)
+        EXPECT_EQ(node.samples, kSteps) << node.node_id;
+    rec.reset();
+}
+
+/** Names of every wall-clock span the tracer holds. */
+std::set<std::string>
+spanNames()
+{
+    std::set<std::string> names;
+    for (const auto& track : obs::Tracer::global().snapshot()) {
+        if (track.simulated)
+            continue;
+        for (const auto& span : track.spans)
+            names.insert(span.name);
+    }
+    return names;
+}
+
+TEST(GraphExecutor, SerialAndParallelStepsEmitTheSameSpans)
+{
+    // runGraphStep is the executor on a 1-thread pool: it must trace
+    // the same per-node spans as the executor on a wide pool, plus the
+    // step's model.fwd / loss / model.bwd phases.
+    const auto cfg = model::applyMixedDimensions(
+        model::DlrmConfig::tinyReplica(8, 13, 2000, 16), 0.5, 4);
+    auto graph = graph::buildModelStepGraph(cfg);
+    graph::fusePass(graph);
+    data::SyntheticCtrDataset ds(datasetFor(cfg));
+    const auto batch = ds.nextBatch(32);
+    auto& tracer = obs::Tracer::global();
+    auto traced = [&](auto&& step) {
+        model::Dlrm model(cfg, 3);
+        tracer.reset();
+        tracer.setEnabled(true);
+        step(model);
+        tracer.setEnabled(false);
+        EXPECT_EQ(tracer.numOpenSpans(), 0u);
+        const auto names = spanNames();
+        tracer.reset();
+        return names;
+    };
+
+    util::globalThreadPool().resize(1);
+    const auto serial = traced(
+        [&](model::Dlrm& m) { runGraphStep(m, batch, graph); });
+    util::globalThreadPool().resize(4);
+    const GraphExecutor executor(graph);
+    const auto parallel =
+        traced([&](model::Dlrm& m) { executor.runStep(m, batch); });
+    util::globalThreadPool().resize(1);
+
+    EXPECT_EQ(serial, parallel);
+    for (const char* phase : {"model.fwd", "loss", "model.bwd"})
+        EXPECT_EQ(serial.count(phase), 1u) << phase;
+    for (const auto& node : graph.nodes) {
+        if (executable(node)) {
+            EXPECT_EQ(serial.count(node.id), 1u) << node.id;
+        }
+    }
+}
+#endif  // RECSIM_OBS_DISABLED
 
 } // namespace
 } // namespace recsim::train
