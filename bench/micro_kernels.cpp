@@ -2,7 +2,8 @@
  * @file
  * Kernel benchmark with a serial-vs-parallel regression gate. Measures
  * the library's hot compute kernels — GEMM variants, elementwise ops,
- * embedding-bag forward/backward, row-wise Adagrad, the dot
+ * embedding-bag forward/backward (one table, and a 26-table grouped
+ * backward), row-wise Adagrad, the dot
  * interaction, the quantized dequant path and the full DLRM step —
  * once with a 1-thread pool and once with N threads, and emits
  * BENCH_kernels.json (GFLOP/s for GEMMs, elem/s, lookups/s, rows/s or
@@ -442,6 +443,42 @@ main(int argc, char** argv)
               static_cast<double>(batch), [&] {
                   dot.backward(dense, embs, d_out, d_dense, d_embs);
               });
+    }
+
+    // --- Grouped embedding backward at the train_sparse shape ---------
+    // Dlrm::backwardEmbeddingGroup over 26 tables of 160k x 64 (1.07 GB)
+    // for a 256-example batch of ~20 Zipf-1.05 lookups per table: one
+    // pool task per table, each a serial single-pass backward. Same
+    // shape with and without --quick.
+    {
+        model::DlrmConfig cfg;
+        cfg.name = "emb_bwd_grouped";
+        cfg.num_dense = 64;
+        cfg.emb_dim = 64;
+        cfg.bottom_mlp = {64, 64};
+        cfg.top_mlp = {64, 64};
+        for (int i = 0; i < 26; ++i) {
+            data::SparseFeatureSpec spec;
+            spec.name = util::format("sparse_{}", i);
+            spec.hash_size = 160000;
+            spec.mean_length = 20.0;
+            spec.zipf_exponent = 1.05;
+            spec.truncation = 64;
+            cfg.sparse.push_back(spec);
+        }
+        model::Dlrm dlrm(cfg, 1);
+        data::DatasetConfig ds_cfg;
+        ds_cfg.num_dense = cfg.num_dense;
+        ds_cfg.sparse = cfg.sparse;
+        data::SyntheticCtrDataset ds(ds_cfg);
+        const auto mb = ds.nextBatch(256);
+        dlrm.forwardBackward(mb);  // leaves every table's dy in place
+        std::vector<int> group(cfg.sparse.size());
+        for (std::size_t f = 0; f < group.size(); ++f)
+            group[f] = static_cast<int>(f);
+        h.run("embedding_bwd_grouped", "lookups/s",
+              static_cast<double>(mb.totalLookups()),
+              [&] { dlrm.backwardEmbeddingGroup(group, mb); });
     }
 
     // --- Full model step -----------------------------------------------

@@ -186,7 +186,8 @@ struct Node
     /**
      * Grouped-lookup nodes (fusePass): the member tables, in merge
      * order. Empty for ordinary nodes. The trainer dispatches a
-     * grouped node to Dlrm::forwardEmbeddingGroup over these tables;
+     * grouped node to Dlrm::forwardEmbeddingGroup /
+     * backwardEmbeddingGroup over these tables, which must be distinct;
      * annotation fields hold the member sums (in this order).
      */
     std::vector<int> fused_tables;
@@ -384,11 +385,10 @@ StepGraph forwardSubgraph(const StepGraph& graph);
  *     with fused_tables listing the member tables, annotations summed
  *     in member order, deps the (deduplicated) union of member deps,
  *     and every consumer edge rewired to the group. Groups of one are
- *     left untouched. The trainer runs a grouped node as one flattened
- *     parallelFor over all member (table, example-chunk) units with
- *     per-table chunk geometry unchanged — bitwise identical to the
- *     per-table dispatches — and the cost model / DES price the
- *     saving as one dispatch instead of N.
+ *     left untouched. The trainer runs a grouped node as one
+ *     parallelFor with one task per member table in each direction —
+ *     bitwise identical to the per-table dispatches — and the cost
+ *     model / DES price the saving as one dispatch instead of N.
  *
  * Idempotent: fusing an already-fused graph changes nothing. Comm /
  * Loss / Optimizer nodes and all non-merged annotations are preserved;

@@ -74,43 +74,30 @@ Dlrm::forwardEmbeddingGroup(const std::vector<int>& group,
                             const data::MiniBatch& batch)
 {
     RECSIM_TRACE_SPAN("nn.emb.fwd");
-    struct Unit
-    {
-        std::size_t f, e0, e1;
-    };
-    std::vector<Unit> units;
-    for (int fi : group) {
-        const auto f = static_cast<std::size_t>(fi);
-        const nn::SparseBatch& sb = batch.sparse[f];
-        tensor::Tensor& out =
-            projections_[f] ? pooled_raw_[f] : pooled_[f];
-        const std::size_t b = sb.batchSize();
-        const std::size_t dim = tables_[f].dim();
-        if (out.rank() != 2 || out.rows() != b || out.cols() != dim)
-            out.resize(b, dim);
-        else
-            out.zero();
-        RECSIM_ASSERT(sb.offsets.empty() ||
-                          (sb.offsets.front() == 0 &&
-                           sb.offsets.back() <= sb.indices.size()),
-                      "corrupt SparseBatch offsets");
-        // Chunks at multiples of the per-table grain from 0 — the same
-        // geometry EmbeddingBag::forward's parallelFor produces.
-        const std::size_t g =
-            nn::EmbeddingBag::forwardChunkGrain(sb, dim);
-        for (std::size_t e0 = 0; e0 < b; e0 += g)
-            units.push_back({f, e0, std::min(e0 + g, b)});
-    }
+    // One task per member table, each pooling all of its examples: a
+    // pooled row does not depend on how forward() would have chunked
+    // the examples, so this is bit-identical to forwardEmbedding(f).
     util::globalThreadPool().parallelFor(
-        0, units.size(), 1,
-        [this, &units, &batch](std::size_t u0, std::size_t u1) {
-            for (std::size_t u = u0; u < u1; ++u) {
-                const Unit& unit = units[u];
-                tensor::Tensor& out = projections_[unit.f]
-                    ? pooled_raw_[unit.f]
-                    : pooled_[unit.f];
-                tables_[unit.f].forwardRange(batch.sparse[unit.f], out,
-                                             unit.e0, unit.e1);
+        0, group.size(), 1,
+        [this, &group, &batch](std::size_t i0, std::size_t i1) {
+            for (std::size_t i = i0; i < i1; ++i) {
+                const auto f = static_cast<std::size_t>(group[i]);
+                const nn::SparseBatch& sb = batch.sparse[f];
+                tensor::Tensor& out =
+                    projections_[f] ? pooled_raw_[f] : pooled_[f];
+                const std::size_t b = sb.batchSize();
+                const std::size_t dim = tables_[f].dim();
+                if (out.rank() != 2 || out.rows() != b ||
+                    out.cols() != dim)
+                    out.resize(b, dim);
+                else
+                    out.zero();
+                RECSIM_ASSERT(sb.offsets.empty() ||
+                                  (sb.offsets.front() == 0 &&
+                                   sb.offsets.back() <= sb.indices.size()),
+                              "corrupt SparseBatch offsets");
+                if (b > 0)
+                    tables_[f].forwardRange(sb, out, 0, b);
             }
         });
     // Close the batch on every member table's backend, serially —
@@ -126,6 +113,13 @@ Dlrm::setEmbeddingBackend(std::size_t f,
                           std::shared_ptr<nn::EmbeddingBackend> backend)
 {
     RECSIM_ASSERT(f < tables_.size(), "no embedding table {}", f);
+    // Tables run their lookups and updates concurrently (grouped nodes,
+    // executor waves), and a backend's counters are plain fields: one
+    // instance may serve only one table.
+    for (std::size_t g = 0; g < tables_.size(); ++g)
+        RECSIM_ASSERT(g == f || tables_[g].backendPtr() != backend,
+                      "embedding backend of table {} installed on table "
+                      "{}; each table needs its own instance", g, f);
     tables_[f].setBackend(std::move(backend));
 }
 
@@ -329,8 +323,24 @@ void
 Dlrm::backwardEmbeddingGroup(const std::vector<int>& group,
                              const data::MiniBatch& batch)
 {
-    for (int fi : group)
-        backwardEmbedding(static_cast<std::size_t>(fi), batch);
+    RECSIM_TRACE_SPAN("nn.emb.bwd");
+    // One task per member table: each table's pass is serial and owns
+    // its own scratch and SparseGrad, so the tasks share nothing.
+    util::globalThreadPool().parallelFor(
+        0, group.size(), 1,
+        [this, &group, &batch](std::size_t i0, std::size_t i1) {
+            for (std::size_t i = i0; i < i1; ++i) {
+                const auto f = static_cast<std::size_t>(group[i]);
+                const tensor::Tensor& grad =
+                    projections_[f] ? d_pooled_raw_[f] : d_pooled_[f];
+                tables_[f].accumulateGrad(batch.sparse[f], grad,
+                                          sparse_grads_[f]);
+            }
+        });
+    for (int fi : group) {
+        const auto f = static_cast<std::size_t>(fi);
+        tables_[f].endBackwardBatch(sparse_grads_[f]);
+    }
 }
 
 bool
@@ -353,15 +363,18 @@ Dlrm::fits(const graph::Node& node) const
         return layer < mlp.numLayers() &&
             same_widths(&mlp.layers()[layer]);
       }
-      case graph::NodeKind::EmbeddingLookup:
+      case graph::NodeKind::EmbeddingLookup: {
         if (node.fused_tables.empty())
             return table < tables_.size() &&
                 tables_[table].dim() == node.out_width;
-        return std::all_of(node.fused_tables.begin(),
-                           node.fused_tables.end(), [this](int f) {
-                               return static_cast<std::size_t>(f) <
-                                   tables_.size();
-                           });
+        // Members run as concurrent tasks: each table at most once.
+        const std::vector<int>& g = node.fused_tables;
+        for (auto it = g.begin(); it != g.end(); ++it)
+            if (static_cast<std::size_t>(*it) >= tables_.size() ||
+                std::find(g.begin(), it, *it) != it)
+                return false;
+        return true;
+      }
       case graph::NodeKind::Interaction:
         return node.in_width == config_.emb_dim &&
             node.out_width == config_.interactionWidth();

@@ -98,14 +98,13 @@ class Dlrm
                             bool fused = false);
     void forwardEmbedding(std::size_t f, const data::MiniBatch& batch);
     /**
-     * Grouped lookup for a fused EmbeddingLookup node: pool every table
-     * in @p group with ONE parallelFor over the flattened (table,
-     * example-chunk) units instead of one dispatch per table. Each
-     * unit's bounds replicate exactly the chunks forwardEmbedding()'s
-     * inner parallelFor would produce (EmbeddingBag::forwardChunkGrain,
-     * chunks at multiples of the grain), and every output row is owned
-     * by exactly one unit — so the result is bit-identical to calling
-     * forwardEmbedding(f) for each member in order, at any thread count.
+     * Grouped lookup for a fused EmbeddingLookup node: ONE parallelFor
+     * with one task per member table, each pooling all of its examples
+     * (EmbeddingBag::forwardRange), instead of one dispatch per table.
+     * A pooled row does not depend on the chunking and every output is
+     * owned by one task, so the result is bit-identical to calling
+     * forwardEmbedding(f) for each member in order, at any thread
+     * count. The backends' endForwardBatch runs serially afterwards.
      */
     void forwardEmbeddingGroup(const std::vector<int>& group,
                                const data::MiniBatch& batch);
@@ -135,9 +134,11 @@ class Dlrm
     void backwardProjection(std::size_t f, bool fused = false);
     void backwardEmbedding(std::size_t f, const data::MiniBatch& batch);
     /**
-     * Backward of a fused EmbeddingLookup node: runs each member's
-     * backwardEmbedding in group order (each is internally parallel) —
-     * bit-identical to the unfused walk.
+     * Backward of a fused EmbeddingLookup node: ONE parallelFor with
+     * one task per member table, each running that table's serial
+     * single-pass backward (EmbeddingBag::accumulateGrad), then the
+     * backends' noteBackward serially — bit-identical to the unfused
+     * walk at any thread count.
      */
     void backwardEmbeddingGroup(const std::vector<int>& group,
                                 const data::MiniBatch& batch);
@@ -153,7 +154,11 @@ class Dlrm
     // table). Backends only change byte accounting, never results:
     // lookups stay bitwise-identical across backends.
 
-    /** Install @p backend on table @p f (nn/embedding_backend.h). */
+    /**
+     * Install @p backend on table @p f (nn/embedding_backend.h).
+     * Panics if another table already uses the same instance: tables
+     * run concurrently and a backend's counters are not synchronized.
+     */
     void setEmbeddingBackend(
         std::size_t f, std::shared_ptr<nn::EmbeddingBackend> backend);
 

@@ -13,6 +13,8 @@
 namespace recsim {
 namespace nn {
 
+namespace {
+
 /**
  * Examples per forward chunk: target enough pooled accumulation work
  * (~64K scalar adds) that chunk dispatch never dominates. The gather
@@ -22,7 +24,7 @@ namespace nn {
  * serial. Depends only on the batch shape, never on the thread count.
  */
 std::size_t
-EmbeddingBag::forwardChunkGrain(const SparseBatch& batch, std::size_t dim)
+forwardChunkGrain(const SparseBatch& batch, std::size_t dim)
 {
     const std::size_t b = std::max<std::size_t>(batch.batchSize(), 1);
     const std::size_t avg_lookups =
@@ -32,6 +34,27 @@ EmbeddingBag::forwardChunkGrain(const SparseBatch& batch, std::size_t dim)
         1, (std::size_t(1) << 16) /
                std::max<std::size_t>(work_per_example, 1));
 }
+
+/**
+ * backward()'s reusable workspace, one per thread: a pass never
+ * dispatches pool work, so it cannot be interleaved with another pass
+ * on the same thread. Sharing it across tables keeps the slot map
+ * (32 bytes per lookup: 256 KB for a 5k-lookup batch) in cache from
+ * one table to the next, where one map per table would be evicted
+ * between steps. Capacity only grows, so steady-state batches
+ * allocate nothing.
+ */
+struct BackwardScratch
+{
+    /** Each lookup's id reduced modulo the hash size. */
+    std::vector<uint64_t> keys;
+    /** Reduced id -> slot in the gradient block. */
+    FlatSlotMap slot_of;
+};
+
+thread_local BackwardScratch tl_backward_scratch;
+
+} // namespace
 
 EmbeddingBag::EmbeddingBag(uint64_t hash_size, std::size_t dim,
                            util::Rng& rng, Pooling pooling)
@@ -105,55 +128,25 @@ EmbeddingBag::applyAdagrad(const SparseGrad& grad,
     backend_->applyAdagrad(table, dim_, grad, acc, lr, eps);
 }
 
-namespace {
-
-/** splitmix64 finalizer: avalanches row ids onto the table slots. */
-inline uint64_t
-mixKey(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-} // namespace
-
 void
-EmbeddingBag::FlatSlotMap::beginBatch(std::size_t n)
+FlatSlotMap::beginBatch(std::size_t n)
 {
+    RECSIM_ASSERT(n <= UINT32_MAX, "{} lookups overflow 32-bit slots", n);
     // Load factor <= 0.5: capacity is the next power of two >= 2n.
     std::size_t want = 16;
     while (want < n * 2)
         want <<= 1;
-    if (keys.size() < want) {
-        keys.assign(want, 0);
-        slots.assign(want, 0);
-        stamps.assign(want, 0);
-        mask = want - 1;
-        epoch = 0;
+    if (entries_.size() < want) {
+        entries_.assign(want, Entry{});
+        mask_ = want - 1;
+        epoch_ = 0;
     }
-    if (++epoch == 0) {
+    if (++epoch_ == 0) {
         // Epoch wrapped: stamps from 2^32 batches ago could collide,
         // so wipe them once and restart at 1.
-        std::fill(stamps.begin(), stamps.end(), 0u);
-        epoch = 1;
-    }
-}
-
-std::pair<std::size_t&, bool>
-EmbeddingBag::FlatSlotMap::insert(uint64_t key)
-{
-    std::size_t i = static_cast<std::size_t>(mixKey(key)) & mask;
-    while (true) {
-        if (stamps[i] != epoch) {
-            stamps[i] = epoch;
-            keys[i] = key;
-            return {slots[i], true};
-        }
-        if (keys[i] == key)
-            return {slots[i], false};
-        i = (i + 1) & mask;
+        for (Entry& e : entries_)
+            e.stamp = 0;
+        epoch_ = 1;
     }
 }
 
@@ -162,52 +155,46 @@ EmbeddingBag::backward(const SparseBatch& batch, const tensor::Tensor& dy,
                        SparseGrad& grad) const
 {
     RECSIM_TRACE_SPAN("nn.emb.bwd");
+    accumulateGrad(batch, dy, grad);
+    endBackwardBatch(grad);
+}
+
+void
+EmbeddingBag::accumulateGrad(const SparseBatch& batch,
+                             const tensor::Tensor& dy,
+                             SparseGrad& grad) const
+{
     const std::size_t b = batch.batchSize();
     RECSIM_ASSERT(dy.rows() == b && dy.cols() == dim_,
                   "embedding backward dy {}", dy.shapeString());
+    RECSIM_ASSERT(batch.offsets.empty() ||
+                      (batch.offsets.front() == 0 &&
+                       batch.offsets.back() <= batch.indices.size()),
+                  "corrupt SparseBatch offsets");
+    // Only lookups inside an example are pooled, so only they have a
+    // gradient.
+    const std::size_t n = b == 0 ? 0 : batch.offsets[b];
+    BackwardScratch& ws = tl_backward_scratch;
+    ws.keys.resize(n);
+    for (std::size_t k = 0; k < n; ++k)
+        ws.keys[k] = batch.indices[k] % hash_size_;
+    ws.slot_of.beginBatch(n);
+    grad.rows.clear();
+    grad.rows.reserve(n);
+    // Room for every lookup to touch a new row. The kernel writes each
+    // slot row before reading it, so the block is never zero-filled
+    // once it has reached its largest size, and it is cut to the rows
+    // actually touched.
+    grad.values.resizeUninitialized(n, dim_);
+    kernels::accumulatePooledGrad(batch, ws.keys.data(), dy.data(), dim_,
+                                  pooling_, ws.slot_of, grad.rows,
+                                  grad.values.data());
+    grad.values.resizeUninitialized(grad.rows.size(), dim_);
+}
 
-    // Phase 1 (serial): assign each touched row a slot in first-touch
-    // order — the same slot order the old single-pass kernel produced —
-    // and remember every lookup's slot so phase 2 never hashes. The
-    // flat map is sized once per batch shape; steady-state batches
-    // allocate nothing.
-    BackwardScratch& ws = scratch_;
-    ws.slot_of.beginBatch(batch.indices.size());
-    ws.rows.clear();
-    ws.slot_per_k.resize(batch.indices.size());
-    for (std::size_t k = 0; k < batch.indices.size(); ++k) {
-        const uint64_t row_id = batch.indices[k] % hash_size_;
-        auto [slot, inserted] = ws.slot_of.insert(row_id);
-        if (inserted) {
-            slot = ws.rows.size();
-            ws.rows.push_back(row_id);
-        }
-        ws.slot_per_k[k] = slot;
-    }
-
-    const std::size_t nrows = ws.rows.size();
-    grad.rows.assign(ws.rows.begin(), ws.rows.end());
-    grad.values.resize(nrows, dim_);
-    if (nrows == 0)
-        return;
-
-    // Phase 2 (parallel): shard the gradient block by slot ranges so
-    // accumulation needs no atomics. Each chunk rescans the (cheap)
-    // per-lookup slot array and accumulates only its own slots, in
-    // batch order — so every gradient row sees the serial accumulation
-    // order no matter how many chunks or threads run. A handful of
-    // shards bounds the rescan overhead.
-    const std::size_t nshards =
-        std::min<std::size_t>(util::globalThreadPool().numThreads(),
-                              nrows);
-    const std::size_t grain = (nrows + nshards - 1) / nshards;
-    util::globalThreadPool().parallelFor(
-        0, nrows, grain,
-        [this, &batch, &ws, &grad, &dy](std::size_t lo, std::size_t hi) {
-            kernels::accumulatePooledGrad(batch, ws.slot_per_k.data(),
-                                          dy.data(), dim_, pooling_,
-                                          grad.values.data(), lo, hi);
-        });
+void
+EmbeddingBag::endBackwardBatch(const SparseGrad& grad) const
+{
     backend_->noteBackward(grad, dim_);
 }
 

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -64,16 +65,87 @@ struct SparseBatch
 };
 
 /**
+ * Open-addressed row id -> gradient slot map for EmbeddingBag's
+ * backward pass. Each entry packs key, slot and epoch stamp into one
+ * 16-byte aligned record, so a probe touches a single cache line;
+ * prefetch() pulls a key's home entry ahead of its insert(). Power-of-
+ * two capacity, linear probing, load factor <= 0.5; stamping entries
+ * with the batch's epoch makes clearing O(1) instead of O(capacity),
+ * and since capacity only grows, steady-state batches never touch the
+ * allocator. Defined in the header so the backward kernel
+ * (nn/sparse_kernels.h) inlines every probe.
+ */
+class FlatSlotMap
+{
+  public:
+    /** Start a batch that will touch <= @p n distinct keys. */
+    void beginBatch(std::size_t n);
+
+    /** Prefetch @p key's home entry for a later insert(). */
+    void prefetch(uint64_t key) const
+    {
+        __builtin_prefetch(&entries_[home(key)], 1, 3);
+    }
+
+    /**
+     * Find-or-insert @p key. Returns its slot and whether the key was
+     * new this batch (the caller then assigns the slot).
+     */
+    std::pair<uint32_t&, bool> insert(uint64_t key)
+    {
+        std::size_t i = home(key);
+        while (true) {
+            Entry& e = entries_[i];
+            if (e.stamp != epoch_) {
+                e.stamp = epoch_;
+                e.key = key;
+                return {e.slot, true};
+            }
+            if (e.key == key)
+                return {e.slot, false};
+            i = (i + 1) & mask_;
+        }
+    }
+
+  private:
+    struct alignas(16) Entry
+    {
+        uint64_t key = 0;
+        uint32_t slot = 0;
+        uint32_t stamp = 0;
+    };
+
+    /** splitmix64 finalizer: avalanches row ids onto the entries. */
+    std::size_t home(uint64_t x) const
+    {
+        x += 0x9e3779b97f4a7c15ULL;
+        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+        return static_cast<std::size_t>(x ^ (x >> 31)) & mask_;
+    }
+
+    std::vector<Entry> entries_;
+    uint32_t epoch_ = 0;
+    std::size_t mask_ = 0;
+};
+
+/**
  * Embedding lookup table of @p hashSize rows by @p dim columns with
  * sum or mean pooling per example.
  *
- * forward() parallelizes over batch examples and backward() over
- * shards of touched table rows on the global thread pool; both are
- * bit-identical at any RECSIM_THREADS (each output row / gradient row
- * is owned by exactly one chunk and accumulated in the serial order).
- * backward() keeps reusable scratch on the instance, so one instance
- * supports one in-flight backward at a time (per-thread model replicas
- * are used for parallel training, as with Mlp).
+ * forward() parallelizes over batch examples on the global thread
+ * pool; each output row is owned by one chunk, so it is bit-identical
+ * at any RECSIM_THREADS. backward() is one serial pass over the
+ * lookups in batch order with no pool dispatch of its own: tables are
+ * independent, so the grouped lookup node (model::Dlrm) runs one
+ * table's backward per pool task instead of sharding inside a table.
+ * Every gradient element is "0, then + scale * dy once per lookup in
+ * batch order" and rows come out in first-touch order, so the result
+ * does not depend on the thread count either. backward()'s scratch
+ * (reduced ids and the FlatSlotMap) belongs to the calling thread, not
+ * the table: the tables a grouped backward runs on one thread share
+ * one cache-warm map, and concurrent accumulateGrad() calls into
+ * distinct SparseGrads are safe.
  */
 class EmbeddingBag
 {
@@ -98,13 +170,11 @@ class EmbeddingBag
     /**
      * The body of one forward() chunk: pool examples [e0, e1) into
      * @p out, which must already be sized [B, dim] and zeroed. The
-     * batched grouped-lookup path (model::Dlrm::forwardEmbeddingGroup)
-     * flattens (table, chunk) pairs over all tables into a single
-     * parallelFor and dispatches each unit here with the same chunk
-     * boundaries forward() would use (forwardChunkGrain) — hence
-     * bit-identical results with one pool job instead of one per table.
-     * Callers that bypass forward() must call endForwardBatch() once
-     * per batch after every chunk has completed.
+     * grouped-lookup path (model::Dlrm::forwardEmbeddingGroup) runs one
+     * pool task per table over all of its examples; a pooled row does
+     * not depend on the chunking, so that is bit-identical to
+     * forward(). Callers that bypass forward() must call
+     * endForwardBatch() once per batch after every chunk has completed.
      */
     void forwardRange(const SparseBatch& batch, tensor::Tensor& out,
                       std::size_t e0, std::size_t e1) const;
@@ -116,19 +186,31 @@ class EmbeddingBag
      */
     void endForwardBatch(const SparseBatch& batch) const;
 
-    /** Examples per forward() chunk for @p batch at width @p dim —
-     *  the exact grain forward() hands parallelFor. */
-    static std::size_t forwardChunkGrain(const SparseBatch& batch,
-                                         std::size_t dim);
-
     /**
-     * Accumulate the sparse gradient of the last forward.
+     * Accumulate the sparse gradient of the last forward:
+     * accumulateGrad() then endBackwardBatch().
      * @param batch Same batch as the matching forward().
      * @param dy    Gradient wrt the pooled output, [B, dim].
-     * @param grad  Output: deduplicated per-row gradients.
+     * @param grad  Output: deduplicated per-row gradients, rows in
+     *              first-touch order, values exactly [rows, dim].
      */
     void backward(const SparseBatch& batch, const tensor::Tensor& dy,
                   SparseGrad& grad) const;
+
+    /**
+     * The body of backward() without the backend accounting: one
+     * serial pass that reduces the ids, deduplicates them through a
+     * FlatSlotMap and accumulates each lookup's scaled dy into its
+     * row (kernels::accumulatePooledGrad). Dispatches no pool work, so
+     * the grouped backward (model::Dlrm::backwardEmbeddingGroup) runs
+     * distinct tables' passes as concurrent pool tasks. Callers that
+     * bypass backward() must call endBackwardBatch() afterwards.
+     */
+    void accumulateGrad(const SparseBatch& batch, const tensor::Tensor& dy,
+                        SparseGrad& grad) const;
+
+    /** Charge @p grad on the backend (noteBackward); serial. */
+    void endBackwardBatch(const SparseGrad& grad) const;
 
     /** Sparse SGD row update via the backend: row -= lr * g. */
     void applySgd(const SparseGrad& grad, float lr);
@@ -174,44 +256,6 @@ class EmbeddingBag
     std::size_t dim_;
     Pooling pooling_;
     std::shared_ptr<EmbeddingBackend> backend_;
-
-    /**
-     * Open-addressed row-id -> slot map for backward()'s dedup pass.
-     * Power-of-two capacity, linear probing, epoch-stamped slots so
-     * clearing is O(1) instead of O(capacity); no buckets, no
-     * per-insert allocation, and steady-state batches never touch the
-     * allocator (capacity only grows, load factor <= 0.5).
-     */
-    struct FlatSlotMap
-    {
-        std::vector<uint64_t> keys;
-        std::vector<std::size_t> slots;
-        std::vector<uint32_t> stamps;
-        uint32_t epoch = 0;
-        std::size_t mask = 0;
-
-        /** Start a batch expected to touch <= @p n distinct keys. */
-        void beginBatch(std::size_t n);
-
-        /**
-         * Find-or-insert @p key. Returns the slot reference and
-         * whether the key was newly inserted (the caller fills the
-         * slot on insertion).
-         */
-        std::pair<std::size_t&, bool> insert(uint64_t key);
-    };
-
-    /** Reusable backward() workspace (zero steady-state allocation). */
-    struct BackwardScratch
-    {
-        /** Hashed row id -> slot in the dense gradient block. */
-        FlatSlotMap slot_of;
-        /** Touched row ids in first-touch order. */
-        std::vector<uint64_t> rows;
-        /** Slot of each batch lookup, indexed like batch.indices. */
-        std::vector<std::size_t> slot_per_k;
-    };
-    mutable BackwardScratch scratch_;
 };
 
 } // namespace nn

@@ -1,9 +1,8 @@
 #include "nn/optimizer.h"
 
-#include <cmath>
-
 #include "nn/linear.h"
 #include "nn/mlp.h"
+#include "nn/sparse_kernels.h"
 #include "util/logging.h"
 
 namespace recsim {
@@ -60,12 +59,8 @@ Adagrad::step(tensor::Tensor& param, const tensor::Tensor& grad)
     auto& acc = dense_state_[param.data()];
     if (acc.size() != param.size())
         acc.assign(param.size(), 0.0f);
-    float* p = param.data();
-    const float* g = grad.data();
-    for (std::size_t i = 0; i < param.size(); ++i) {
-        acc[i] += g[i] * g[i];
-        p[i] -= lr_ * g[i] / (std::sqrt(acc[i]) + eps_);
-    }
+    kernels::adagradDense(param.data(), grad.data(), acc.data(),
+                          param.size(), lr_, eps_);
 }
 
 void

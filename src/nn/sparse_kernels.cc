@@ -68,12 +68,13 @@ gatherPoolScalar(const float* table_data, uint64_t hash, std::size_t dim,
 }
 
 void
-accumulatePooledGradScalar(const SparseBatch& batch,
-                           const std::size_t* slot_per_k, const float* dyd,
-                           std::size_t dim, Pooling pooling,
-                           float* values, std::size_t lo, std::size_t hi)
+accumulatePooledGradScalar(const SparseBatch& batch, const uint64_t* keys,
+                           const float* dyd, std::size_t dim,
+                           Pooling pooling, FlatSlotMap& slots,
+                           std::vector<uint64_t>& rows, float* values)
 {
     const std::size_t b = batch.batchSize();
+    const std::size_t n = b == 0 ? 0 : batch.offsets[b];
     for (std::size_t ex = 0; ex < b; ++ex) {
         const std::size_t begin = batch.offsets[ex];
         const std::size_t end = batch.offsets[ex + 1];
@@ -83,12 +84,21 @@ accumulatePooledGradScalar(const SparseBatch& batch,
             ? 1.0f / static_cast<float>(end - begin) : 1.0f;
         const float* dyrow = dyd + ex * dim;
         for (std::size_t k = begin; k < end; ++k) {
-            const std::size_t s = slot_per_k[k];
-            if (s < lo || s >= hi)
-                continue;
-            float* vrow = values + s * dim;
-            for (std::size_t j = 0; j < dim; ++j)
-                vrow[j] += scale * dyrow[j];
+            if (k + kPrefetchAhead < n)
+                slots.prefetch(keys[k + kPrefetchAhead]);
+            auto [slot, fresh] = slots.insert(keys[k]);
+            if (fresh) {
+                slot = static_cast<uint32_t>(rows.size());
+                rows.push_back(keys[k]);
+            }
+            float* vrow = values + std::size_t{slot} * dim;
+            if (fresh) {
+                for (std::size_t j = 0; j < dim; ++j)
+                    vrow[j] = 0.0f + scale * dyrow[j];
+            } else {
+                for (std::size_t j = 0; j < dim; ++j)
+                    vrow[j] += scale * dyrow[j];
+            }
         }
     }
 }
@@ -123,6 +133,16 @@ adagradRowsScalar(float* table, std::size_t dim, const uint64_t* rows,
         float* row = table + row_id * dim;
         for (std::size_t j = 0; j < dim; ++j)
             row[j] -= lr * g[j] / denom;
+    }
+}
+
+void
+adagradDenseScalar(float* p, const float* g, float* acc, std::size_t n,
+                   float lr, float eps)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        acc[i] += g[i] * g[i];
+        p[i] -= lr * g[i] / (std::sqrt(acc[i]) + eps);
     }
 }
 
@@ -220,6 +240,7 @@ struct Lanes
     static V sub(V a, V b) { return _mm256_sub_ps(a, b); }
     static V mul(V a, V b) { return _mm256_mul_ps(a, b); }
     static V div(V a, V b) { return _mm256_div_ps(a, b); }
+    static V sqrt(V a) { return _mm256_sqrt_ps(a); }
     /** Lane offsets l * stride for gather(). */
     static __m256i strideIndex(std::size_t stride)
     {
@@ -271,6 +292,12 @@ struct Lanes
     static V sub(V a, V b) { return _mm512_sub_ps(a, b); }
     static V mul(V a, V b) { return _mm512_mul_ps(a, b); }
     static V div(V a, V b) { return _mm512_div_ps(a, b); }
+    /** Full-mask form: g++ 12 warns about _mm512_sqrt_ps's undefined
+     *  pass-through operand. */
+    static V sqrt(V a)
+    {
+        return _mm512_mask_sqrt_ps(a, static_cast<M>(0xFFFF), a);
+    }
     static __m512i strideIndex(std::size_t stride)
     {
         return _mm512_mullo_epi32(
@@ -322,15 +349,15 @@ gatherPool(const float* table, uint64_t hash, std::size_t dim,
 }
 
 void
-accumulatePooledGrad(const SparseBatch& batch,
-                     const std::size_t* slot_per_k, const float* dy,
-                     std::size_t dim, Pooling pooling, float* values,
-                     std::size_t lo, std::size_t hi)
+accumulatePooledGrad(const SparseBatch& batch, const uint64_t* keys,
+                     const float* dy, std::size_t dim, Pooling pooling,
+                     FlatSlotMap& slots, std::vector<uint64_t>& rows,
+                     float* values)
 {
-    RECSIM_SPARSE_DISPATCH(accumulatePooledGrad, batch, slot_per_k, dy,
-                           dim, pooling, values, lo, hi)
-    accumulatePooledGradScalar(batch, slot_per_k, dy, dim, pooling,
-                               values, lo, hi);
+    RECSIM_SPARSE_DISPATCH(accumulatePooledGrad, batch, keys, dy, dim,
+                           pooling, slots, rows, values)
+    accumulatePooledGradScalar(batch, keys, dy, dim, pooling, slots, rows,
+                               values);
 }
 
 void
@@ -349,6 +376,14 @@ adagradRows(float* table, std::size_t dim, const uint64_t* rows,
     RECSIM_SPARSE_DISPATCH(adagradRows, table, dim, rows, nrows, values,
                            acc, lr, eps)
     adagradRowsScalar(table, dim, rows, nrows, values, acc, lr, eps);
+}
+
+void
+adagradDense(float* p, const float* g, float* acc, std::size_t n,
+             float lr, float eps)
+{
+    RECSIM_SPARSE_DISPATCH(adagradDense, p, g, acc, n, lr, eps)
+    adagradDenseScalar(p, g, acc, n, lr, eps);
 }
 
 std::size_t

@@ -1,10 +1,12 @@
 /**
  * @file
  * The per-element loops of the sparse half of a training step —
- * embedding gather/pool, the pooled-gradient accumulate, the row-wise
- * sparse optimizers and the pairwise dot interaction — with one
- * scalar reference loop and AVX2 / AVX-512 versions behind the
- * tensor::simd tier dispatch.
+ * embedding gather/pool, the single-pass embedding backward, the
+ * row-wise sparse optimizers and the pairwise dot interaction — plus
+ * the dense Adagrad update, with one scalar reference loop and AVX2 /
+ * AVX-512 versions behind the tensor::simd tier dispatch. Each entry
+ * point dispatches once per call (per table, per tensor), never per
+ * lookup or row.
  *
  * Dispatch contract (the one tensor/ops.cc keeps for the GEMMs): every
  * tier runs each output element's exact scalar operation sequence, so
@@ -14,12 +16,20 @@
  *  - gatherPool: out[j] = ((out[j] + e_0[j]) + e_1[j]) + ... in lookup
  *    order, then one multiply by 1/n for Mean pooling. Lanes = j.
  *  - accumulatePooledGrad: v[j] = v[j] + (scale * dy[j]) per lookup in
- *    batch order (multiply, then add — never an fma). Lanes = j.
+ *    batch order (multiply, then add — never an fma). Lanes = j. A
+ *    row's first touch writes v[j] = 0.0f + (scale * dy[j]) instead of
+ *    reading the row, which is the same bits as zero-filling it first
+ *    (−0.0 becomes +0.0 either way), so the gradient block needs no
+ *    zero fill before the pass.
  *  - sgdRows: w[j] = w[j] - (lr * g[j]). Lanes = j.
  *  - adagradRows: sq = ((0 + g_0*g_0) + g_1*g_1) + ... in ascending j
  *    for each row — lanes run across 8 or 16 rows, never within one
  *    row — then acc += sq / dim, denom = sqrt(acc) + eps and
  *    w[j] = w[j] - ((lr * g[j]) / denom). Lanes = j for the update.
+ *  - adagradDense: acc[i] = acc[i] + (g[i] * g[i]), then
+ *    p[i] = p[i] - ((lr * g[i]) / (sqrt(acc[i]) + eps)). Lanes = i;
+ *    vector square root and divide are correctly rounded, like the
+ *    scalar ones.
  *  - dotForward: pair (i, j) = ((0 + a_0*b_0) + a_1*b_1) + ... in
  *    ascending k; lanes run across the pairs of one row i through a
  *    per-example transposed [d x F] copy of the F vectors.
@@ -37,6 +47,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "nn/embedding_bag.h"
 
@@ -53,15 +64,19 @@ void gatherPool(const float* table, uint64_t hash, std::size_t dim,
                 std::size_t e0, std::size_t e1);
 
 /**
- * Embedding backward's accumulate for gradient slots [lo, hi): walks
- * every lookup in batch order and adds scale * dy[example] to the
- * lookup's slot row of @p values ([slots, dim]) when the slot is in
- * range; scale is 1 for Sum and 1/n for Mean pooling.
+ * Embedding backward in one pass: walks the lookups of @p batch in
+ * batch order, finds each reduced id keys[k] in @p slots (begun for
+ * this batch), and adds scale * dy[example] to its row of @p values
+ * ([slots, dim]); scale is 1 for Sum and 1/n for Mean pooling. A key
+ * seen for the first time gets the next slot, is appended to @p rows
+ * (first-touch order) and has its row initialized, not read (see the
+ * contract above). @p values needs room for one row per lookup; rows
+ * past rows.size() are left unwritten.
  */
-void accumulatePooledGrad(const SparseBatch& batch,
-                          const std::size_t* slot_per_k, const float* dy,
-                          std::size_t dim, Pooling pooling, float* values,
-                          std::size_t lo, std::size_t hi);
+void accumulatePooledGrad(const SparseBatch& batch, const uint64_t* keys,
+                          const float* dy, std::size_t dim,
+                          Pooling pooling, FlatSlotMap& slots,
+                          std::vector<uint64_t>& rows, float* values);
 
 /** Sparse SGD: table row rows[r] -= lr * values row r, r ascending. */
 void sgdRows(float* table, std::size_t dim, const uint64_t* rows,
@@ -74,6 +89,13 @@ void sgdRows(float* table, std::size_t dim, const uint64_t* rows,
 void adagradRows(float* table, std::size_t dim, const uint64_t* rows,
                  std::size_t nrows, const float* values, float* acc,
                  float lr, float eps);
+
+/**
+ * Dense Adagrad over @p n parameters, each with its own accumulator:
+ * acc[i] += g[i]^2, then p[i] -= lr * g[i] / (sqrt(acc[i]) + eps).
+ */
+void adagradDense(float* p, const float* g, float* acc, std::size_t n,
+                  float lr, float eps);
 
 /**
  * Pairwise dot products of F = @p f feature vectors per example:

@@ -1,5 +1,8 @@
 #include "tensor/tensor.h"
 
+#include <algorithm>
+#include <span>
+
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -56,30 +59,28 @@ Tensor::row(std::size_t r) const
 void
 Tensor::fill(float value)
 {
-    for (auto& v : data_)
-        v = value;
+    std::fill_n(data(), size(), value);
 }
 
 void
 Tensor::fillNormal(util::Rng& rng, float stddev)
 {
-    for (auto& v : data_)
+    for (auto& v : std::span(data(), size()))
         v = static_cast<float>(rng.normal(0.0, stddev));
 }
 
 void
 Tensor::fillUniform(util::Rng& rng, float lo, float hi)
 {
-    for (auto& v : data_)
+    for (auto& v : std::span(data(), size()))
         v = static_cast<float>(rng.uniform(lo, hi));
 }
 
 void
 Tensor::reshape(std::size_t rows, std::size_t cols)
 {
-    RECSIM_ASSERT(rows * cols == data_.size(),
-                  "reshape [{} x {}] of {} elements", rows, cols,
-                  data_.size());
+    RECSIM_ASSERT(rows * cols == size(),
+                  "reshape [{} x {}] of {} elements", rows, cols, size());
     rank_ = 2;
     rows_ = rows;
     cols_ = cols;
@@ -89,6 +90,16 @@ void
 Tensor::resize(std::size_t rows, std::size_t cols)
 {
     data_.assign(rows * cols, 0.0f);
+    rank_ = 2;
+    rows_ = rows;
+    cols_ = cols;
+}
+
+void
+Tensor::resizeUninitialized(std::size_t rows, std::size_t cols)
+{
+    if (data_.size() < rows * cols)
+        data_.resize(rows * cols);
     rank_ = 2;
     rows_ = rows;
     cols_ = cols;

@@ -44,7 +44,7 @@ class Tensor
     Tensor(std::initializer_list<float> values);
 
     /** Number of elements. */
-    std::size_t size() const { return data_.size(); }
+    std::size_t size() const { return rows_ * cols_; }
 
     /** Rank (1 or 2). */
     int rank() const { return rank_; }
@@ -96,6 +96,15 @@ class Tensor
     /** Become a zeroed rank-1 tensor of length n, reusing capacity. */
     void resize(std::size_t n);
 
+    /**
+     * Become a rank-2 tensor of shape [rows, cols] without zeroing:
+     * elements keep whatever the storage held. Storage never shrinks
+     * here, so once a shape has been reached, later calls up to it
+     * write nothing (growth past it is zero-filled once). For kernels
+     * that write every element before reading it.
+     */
+    void resizeUninitialized(std::size_t rows, std::size_t cols);
+
     /** "[rows x cols]" / "[n]" for diagnostics. */
     std::string shapeString() const;
 
@@ -103,6 +112,8 @@ class Tensor
     bool sameShape(const Tensor& other) const;
 
   private:
+    /** Storage; at least size() long (longer only after a shrinking
+     *  resizeUninitialized). */
     std::vector<float> data_;
     int rank_ = 1;
     std::size_t rows_ = 0;

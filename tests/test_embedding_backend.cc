@@ -362,6 +362,19 @@ TEST(BackendEquivalence, TierStatsBitIdenticalAcrossThreadCounts)
     }
 }
 
+TEST(EmbeddingBackendDeathTest, OneInstanceServesOneTable)
+{
+    // Tables run concurrently and a backend's counters are plain
+    // fields, so a second table may not share an installed instance.
+    // Re-installing it on its own table is fine.
+    model::Dlrm model(model::DlrmConfig::tinyReplica(4, 8, 500, 8), 3);
+    const auto backend = nn::makeDramBackend();
+    model.setEmbeddingBackend(1, backend);
+    model.setEmbeddingBackend(1, backend);
+    EXPECT_DEATH(model.setEmbeddingBackend(3, backend),
+                 "embedding backend of table 1 installed on table 3");
+}
+
 // ---- Zero-allocation backward ------------------------------------------
 
 TEST(FlatSlotMap, SteadyStateBackwardAllocatesNothing)

@@ -203,6 +203,55 @@ TEST(GraphExecutor, FusedBackwardGradsBitwiseEqualToUnfused)
     }
 }
 
+TEST(GraphExecutor, GroupedLookupIsOneJobWithOneTaskPerTable)
+{
+    // Walk the fused graph's nodes from the test thread, so the
+    // grouped node's parallelFor reaches the pool instead of running
+    // inline in an executor task: each direction must be exactly one
+    // job with one task per member table, and the grads must carry the
+    // bits of the unfused per-table walk.
+    auto& pool = util::globalThreadPool();
+    for (const auto& cfg : modelZoo()) {
+        auto fused_graph = graph::buildModelStepGraph(cfg);
+        graph::fusePass(fused_graph);
+        const graph::Node* group = fused_graph.find("emb.grouped.g0");
+        ASSERT_NE(group, nullptr);
+        ASSERT_GT(group->fused_tables.size(), 1u);
+        const uint64_t members = group->fused_tables.size();
+
+        for (const std::size_t threads : {1u, 2u, 4u}) {
+            pool.resize(threads);
+            const std::string context = cfg.name + " grouped @" +
+                std::to_string(threads) + "t";
+            model::Dlrm unfused_model(cfg, 3);
+            model::Dlrm grouped_model(cfg, 3);
+            data::SyntheticCtrDataset ds(datasetFor(cfg));
+            const auto batch = ds.nextBatch(32);
+            const double want = unfused_model.forwardBackward(batch);
+
+            auto run = [&](const graph::Node& node, bool forward) {
+                const auto before = pool.stats();
+                grouped_model.runNode(node, batch, forward);
+                const auto after = pool.stats();
+                if (&node != group)
+                    return;
+                EXPECT_EQ(after.jobs - before.jobs, 1u)
+                    << context << (forward ? " forward" : " backward");
+                EXPECT_EQ(after.tasks - before.tasks, members)
+                    << context << (forward ? " forward" : " backward");
+            };
+            for (const auto& node : fused_graph.nodes)
+                run(node, true);
+            const double got = grouped_model.lossBackward(batch);
+            for (std::size_t i = fused_graph.nodes.size(); i-- > 0;)
+                run(fused_graph.nodes[i], false);
+            EXPECT_TRUE(bitwiseEqual(want, got)) << context;
+            expectGradsBitwiseEqual(unfused_model, grouped_model, context);
+            pool.resize(1);
+        }
+    }
+}
+
 TEST(GraphExecutor, FusedGraphBitwiseEqualToUnfusedSerialWalk)
 {
     // fusePass rewrites the IR (epilogue-fused GEMMs, grouped
@@ -483,6 +532,25 @@ TEST(GraphExecutorDeathTest, GraphNamingTablesTheModelLacksPanics)
     const auto batch = ds.nextBatch(16);
     EXPECT_DEATH(executor.runStep(model, batch),
                  "StepGraph node emb.t4 does not match model");
+}
+
+TEST(GraphExecutorDeathTest, GroupedNodeNamingATableTwicePanics)
+{
+    // A grouped node runs its members as concurrent pool tasks, so a
+    // table listed twice would race with itself.
+    util::globalThreadPool().resize(1);
+    const auto cfg = model::DlrmConfig::tinyReplica(4, 8, 500, 8);
+    auto graph = graph::buildModelStepGraph(cfg);
+    graph::fusePass(graph);
+    for (auto& node : graph.nodes)
+        if (node.id == "emb.grouped.g0")
+            node.fused_tables = {0, 1, 1, 3};
+    const GraphExecutor executor(graph);
+    model::Dlrm model(cfg, 3);
+    data::SyntheticCtrDataset ds(datasetFor(cfg));
+    const auto batch = ds.nextBatch(16);
+    EXPECT_DEATH(executor.runForward(model, batch),
+                 "StepGraph node emb.grouped.g0 does not match model");
 }
 
 TEST(GraphExecutorDeathTest, BatchWithTooFewSparseFeaturesPanics)

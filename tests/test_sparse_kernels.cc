@@ -3,9 +3,11 @@
  * Tier sweep of the sparse-half kernels (nn/sparse_kernels.h), through
  * the public layers that run them: EmbeddingBag forward (Sum and Mean,
  * empty examples included) and backward, the sparse SGD and row-wise
- * Adagrad updates, and DotInteraction forward, backward and
- * backwardFused. Each runs at every SIMD tier this CPU has, at 1 and 4
- * threads, and must match the scalar tier at 1 thread bit for bit.
+ * Adagrad updates, the dense Adagrad update, and DotInteraction
+ * forward, backward and backwardFused. Each runs at every SIMD tier
+ * this CPU has, at 1 and 4 threads, and must match the scalar tier at
+ * 1 thread bit for bit; the embedding backward and dense Adagrad are
+ * also held to test-local definitions of what they compute.
  *
  * Dims 16 and 64 fill whole AVX-512 / AVX2 vectors, 20 leaves a masked
  * tail and 100 spans two register blocks plus a tail. Inputs are random
@@ -15,6 +17,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <functional>
 #include <string>
@@ -22,6 +26,7 @@
 
 #include "nn/embedding_bag.h"
 #include "nn/interaction.h"
+#include "nn/optimizer.h"
 #include "tensor/simd.h"
 #include "tensor/tensor.h"
 #include "util/random.h"
@@ -279,5 +284,165 @@ TEST(SparseKernels, DotInteractionBitwiseAtEveryTier)
                 }
             });
         }
+    }
+}
+
+namespace {
+
+/**
+ * The definition backward() must reproduce bit for bit: rows in
+ * first-touch order over the lookups inside examples, a zero-filled
+ * [rows, dim] block, then + scale * dy once per lookup in batch order.
+ */
+SparseGrad
+zeroFillReference(const SparseBatch& batch, const Tensor& dy,
+                  uint64_t hash, Pooling pooling)
+{
+    SparseGrad want;
+    std::vector<std::size_t> slot_of_k;
+    const std::size_t b = batch.batchSize();
+    for (std::size_t k = 0; b > 0 && k < batch.offsets[b]; ++k) {
+        const uint64_t row = batch.indices[k] % hash;
+        std::size_t s = 0;
+        while (s < want.rows.size() && want.rows[s] != row)
+            ++s;
+        if (s == want.rows.size())
+            want.rows.push_back(row);
+        slot_of_k.push_back(s);
+    }
+    const std::size_t dim = dy.cols();
+    want.values.resize(want.rows.size(), dim);
+    for (std::size_t ex = 0; ex < b; ++ex) {
+        const std::size_t begin = batch.offsets[ex];
+        const std::size_t end = batch.offsets[ex + 1];
+        const float scale = pooling == Pooling::Mean && end > begin
+            ? 1.0f / static_cast<float>(end - begin) : 1.0f;
+        for (std::size_t k = begin; k < end; ++k) {
+            float* v = want.values.row(slot_of_k[k]);
+            for (std::size_t j = 0; j < dim; ++j)
+                v[j] += scale * dy.at(ex, j);
+        }
+    }
+    return want;
+}
+
+/** Every tier the CPU has at pool sizes 1, 2 and 4. */
+void
+forEveryTierAndPool(const std::function<void(const std::string&)>& check)
+{
+    PoolSizeGuard guard;
+    for (int t = 0; t <= static_cast<int>(simd::supportedTier()); ++t) {
+        const auto tier = static_cast<simd::Tier>(t);
+        simd::ScopedTierOverride force(tier);
+        for (const std::size_t threads : {1u, 2u, 4u}) {
+            util::globalThreadPool().resize(threads);
+            check(std::string(simd::tierName(tier)) + " @" +
+                  std::to_string(threads) + "t");
+        }
+    }
+}
+
+} // namespace
+
+TEST(SparseKernels, EmbeddingBackwardEqualsZeroFillThenAdd)
+{
+    // Example 0 repeats row 5 (raw 5, 5 + hash, 5 + 3 * hash) and
+    // touches row 3; example 1 is empty; example 2 is the only toucher
+    // of row 9, with dy holding -0.0 (a first touch must give +0.0, as
+    // 0 + -0 does, and nothing later may hide it); example 3 revisits
+    // rows 3 and 5 and touches new ones; the rest are random with
+    // every fifth example empty.
+    util::Rng rng(11);
+    SparseBatch batch;
+    batch.indices = {5, 5 + kHash, 3, 5 + 3 * kHash, 9, 3, 17, 5, 4 * kHash};
+    batch.offsets = {0, 4, 4, 5, 9};
+    for (std::size_t ex = 4; ex < kBatch; ++ex) {
+        const std::size_t n = ex % 5 == 0 ? 0 : 1 + rng.uniformInt(9);
+        for (std::size_t k = 0; k < n; ++k) {
+            const uint64_t id = rng.uniformInt(4 * kHash);
+            batch.indices.push_back(id % kHash == 9 ? id + 1 : id);
+        }
+        batch.offsets.push_back(batch.indices.size());
+    }
+    for (const Pooling pooling : {Pooling::Sum, Pooling::Mean}) {
+        for (const std::size_t dim : kDims) {
+            Tensor dy = randomTensor(kBatch, dim, 40 + dim);
+            for (std::size_t j = 0; j < dim; j += 3)
+                dy.at(2, j) = -0.0f;
+            dy.at(0, 1) = -0.0f;
+            const SparseGrad want =
+                zeroFillReference(batch, dy, kHash, pooling);
+            ASSERT_EQ(want.rows.front(), 5u);
+            ASSERT_EQ(want.rows[2], 9u);
+            ASSERT_EQ(std::count(want.rows.begin(), want.rows.end(), 9u), 1);
+            ASSERT_FALSE(std::signbit(want.values.at(2, 0)));
+            const EmbeddingBag bag = makeBag(dim, pooling);
+            forEveryTierAndPool([&](const std::string& ctx) {
+                // Reused across calls, as in training: a larger
+                // previous gradient must not leak into this one.
+                SparseGrad got;
+                bag.backward(batch, randomTensor(kBatch, dim, 1), got);
+                bag.backward(batch, dy, got);
+                EXPECT_EQ(got.rows, want.rows) << ctx;
+                EXPECT_TRUE(sameBits(got.values, want.values))
+                    << ctx << shape(dim, pooling);
+                EXPECT_EQ(got.values.size(), want.rows.size() * dim);
+            });
+        }
+    }
+}
+
+TEST(SparseKernels, EmbeddingBackwardOfEmptyBatchesHasNoRows)
+{
+    const EmbeddingBag bag = makeBag(20, Pooling::Mean);
+    SparseBatch all_empty;
+    all_empty.offsets = {0, 0, 0, 0};
+    SparseBatch no_examples;
+    no_examples.offsets = {0};
+    forEveryTierAndPool([&](const std::string& ctx) {
+        SparseGrad grad;
+        util::Rng rng(5);
+        bag.backward(randomBatch(rng), randomTensor(kBatch, 20, 2), grad);
+        ASSERT_FALSE(grad.rows.empty());
+        bag.backward(all_empty, Tensor(3, 20), grad);
+        EXPECT_TRUE(grad.rows.empty()) << ctx;
+        EXPECT_EQ(grad.values.rows(), 0u) << ctx;
+        EXPECT_EQ(grad.values.cols(), 20u) << ctx;
+        bag.backward(no_examples, Tensor(0, 20), grad);
+        EXPECT_TRUE(grad.rows.empty()) << ctx;
+        EXPECT_EQ(grad.values.size(), 0u) << ctx;
+    });
+}
+
+TEST(SparseKernels, DenseAdagradEqualsScalarLoopAtEveryTier)
+{
+    constexpr float kLr = 0.03f, kEps = 1e-8f;
+    for (const std::size_t n : {1u, 15u, 17u, 513u}) {
+        const Tensor p0 = randomTensor(1, n, 60 + n);
+        const Tensor g0 = randomTensor(1, n, 70 + n);
+        Tensor g1 = randomTensor(1, n, 80 + n);
+        g1.data()[0] = -0.0f;
+        // Two steps of the loop Adagrad::step is defined by, so the
+        // second reads an accumulator the first one wrote.
+        std::vector<float> want_p(p0.data(), p0.data() + n);
+        std::vector<float> want_acc(n, 0.0f);
+        for (const Tensor* g : {&g0, static_cast<const Tensor*>(&g1)}) {
+            for (std::size_t i = 0; i < n; ++i) {
+                const float gi = g->data()[i];
+                want_acc[i] += gi * gi;
+                want_p[i] -= kLr * gi / (std::sqrt(want_acc[i]) + kEps);
+            }
+        }
+        forEveryTier([&](const std::string& ctx) {
+            Tensor p = p0;
+            nn::Adagrad opt(kLr, kEps);
+            opt.step(p, g0);
+            opt.step(p, g1);
+            const std::string where = ctx + " n " + std::to_string(n);
+            EXPECT_TRUE(sameBits(std::vector<float>(p.data(), p.data() + n),
+                                 want_p))
+                << where;
+            EXPECT_TRUE(sameBits(opt.denseState(p), want_acc)) << where;
+        });
     }
 }
