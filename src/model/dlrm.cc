@@ -479,8 +479,9 @@ Dlrm::zeroGrad()
         g.rows.clear();
 }
 
+template <typename Opt>
 void
-Dlrm::step(const nn::Sgd& opt)
+Dlrm::applyStep(Opt& opt)
 {
     opt.step(*bottom_);
     opt.step(*top_);
@@ -492,20 +493,8 @@ Dlrm::step(const nn::Sgd& opt)
         opt.stepSparse(tables_[f], sparse_grads_[f]);
     zeroGrad();
 }
-
-void
-Dlrm::step(nn::Adagrad& opt)
-{
-    opt.step(*bottom_);
-    opt.step(*top_);
-    for (auto& proj : projections_) {
-        if (proj)
-            opt.step(*proj);
-    }
-    for (std::size_t f = 0; f < tables_.size(); ++f)
-        opt.stepSparse(tables_[f], sparse_grads_[f]);
-    zeroGrad();
-}
+template void Dlrm::applyStep(const nn::Sgd&);
+template void Dlrm::applyStep(nn::Adagrad&);
 
 double
 Dlrm::evalLoss(const data::MiniBatch& batch)

@@ -183,10 +183,10 @@ class Dlrm
     void zeroGrad();
 
     /** Apply accumulated grads with SGD and clear them. */
-    void step(const nn::Sgd& opt);
+    void step(const nn::Sgd& opt) { applyStep(opt); }
 
     /** Apply accumulated grads with Adagrad and clear them. */
-    void step(nn::Adagrad& opt);
+    void step(nn::Adagrad& opt) { applyStep(opt); }
 
     /** Mean BCE loss on a batch without touching grads. */
     double evalLoss(const data::MiniBatch& batch);
@@ -225,6 +225,9 @@ class Dlrm
      *  matching widths; Loss, OptimizerUpdate and Comm nodes fit any
      *  model. */
     bool fits(const graph::Node& node) const;
+
+    /** Both step() overloads: dense layers, tables, zeroGrad(). */
+    template <typename Opt> void applyStep(Opt& opt);
 
     DlrmConfig config_;
     graph::StepGraph graph_;

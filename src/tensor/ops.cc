@@ -82,6 +82,16 @@ constexpr std::size_t kChunkTiles = 4;
 constexpr std::size_t kMinChunks = 16;
 
 /**
+ * GEMMs of less work run their row chunks on the caller. Work is
+ * 2mk times n rounded up to whole kNr strips, which is what the
+ * kernels compute: on the 4-core AVX-512 host the pool's fork/join
+ * made 128^3 (4.2 M) 0.5-0.6x of serial, 160^3 (8.2 M) and
+ * 256x256x64 (8.4 M) 0.9x, while 192^3 (14.2 M) gained 1.1-1.5x,
+ * 512x256x36 (16.8 M as strips) 2.4x and 256^3 1.4-1.6x.
+ */
+constexpr std::size_t kParallelGemmFlops = std::size_t(10) << 20;
+
+/**
  * The right operand as addressed in memory: B(p, j) = d[p * rs + j * cs].
  * Row-major B has cs = 1; the transpose of a row-major [n, k] matrix
  * (matmulTransB's b) has rs = 1, cs = k.
@@ -535,17 +545,23 @@ gemmBlocked(const float* ad, std::size_t a_rs, std::size_t a_cs,
                   std::min(kChunkTiles * tile_rows, m / kMinChunks),
                   tile_rows});
     const std::size_t grain = (rows + tile_rows - 1) / tile_rows * tile_rows;
-    util::globalThreadPool().parallelFor(
-        0, m, grain, [&g, kernel](std::size_t i0, std::size_t i1) {
-            for (std::size_t jj = 0; jj < g.n; jj += kNc) {
-                const std::size_t jend = std::min(g.n, jj + kNc);
-                for (std::size_t pp = 0; pp < g.k; pp += kKc) {
-                    const std::size_t pk = std::min(kKc, g.k - pp);
-                    for (std::size_t j0 = jj; j0 < jend; j0 += kNr)
-                        kernel(g, i0, i1, j0, pp, pk);
-                }
+    const auto chunk = [&g, kernel](std::size_t i0, std::size_t i1) {
+        for (std::size_t jj = 0; jj < g.n; jj += kNc) {
+            const std::size_t jend = std::min(g.n, jj + kNc);
+            for (std::size_t pp = 0; pp < g.k; pp += kKc) {
+                const std::size_t pk = std::min(kKc, g.k - pp);
+                for (std::size_t j0 = jj; j0 < jend; j0 += kNr)
+                    kernel(g, i0, i1, j0, pp, pk);
             }
-        });
+        }
+    };
+    const std::size_t strip_cols = (n + kNr - 1) / kNr * kNr;
+    if (2 * m * k * strip_cols >= kParallelGemmFlops) {
+        util::globalThreadPool().parallelFor(0, m, grain, chunk);
+        return;
+    }
+    for (std::size_t i0 = 0; i0 < m; i0 += grain)
+        chunk(i0, std::min(m, i0 + grain));
 }
 
 } // namespace

@@ -1,6 +1,11 @@
 #include "tensor/tensor.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdint>
+#include <new>
 #include <span>
 
 #include "util/logging.h"
@@ -8,6 +13,50 @@
 
 namespace recsim {
 namespace tensor {
+
+namespace {
+
+std::size_t
+mappedLength(std::size_t bytes)
+{
+    static const std::size_t page =
+        static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    return (bytes + page - 1) / page * page;
+}
+
+} // namespace
+
+void*
+mapHugePages(std::size_t bytes)
+{
+    const std::size_t len = mappedLength(bytes);
+    // Over-map by one huge page, then trim the head to a 2 MiB
+    // boundary and the tail to len: no rounding up of the length, so
+    // RSS is what a heap block of this size would have.
+    if (len < bytes || len > ~std::size_t{0} - kHugePageBytes)
+        throw std::bad_alloc();
+    void* raw = mmap(nullptr, len + kHugePageBytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (raw == MAP_FAILED)
+        throw std::bad_alloc();
+    const auto base = reinterpret_cast<std::uintptr_t>(raw);
+    const std::uintptr_t start =
+        (base + kHugePageBytes - 1) & ~(std::uintptr_t{kHugePageBytes} - 1);
+    if (start > base)
+        munmap(raw, start - base);
+    const std::uintptr_t end = base + len + kHugePageBytes;
+    if (end > start + len)
+        munmap(reinterpret_cast<void*>(start + len), end - start - len);
+    // Best effort: where THP is off the range stays on base pages.
+    madvise(reinterpret_cast<void*>(start), len, MADV_HUGEPAGE);
+    return reinterpret_cast<void*>(start);
+}
+
+void
+unmapHugePages(void* p, std::size_t bytes)
+{
+    munmap(p, mappedLength(bytes));
+}
 
 Tensor::Tensor(std::size_t n)
     : data_(n, 0.0f), rank_(1), rows_(n), cols_(1)

@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <initializer_list>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,72 @@ class Rng;
 } // namespace util
 
 namespace tensor {
+
+/** The transparent huge page size mapHugePages aligns to. */
+inline constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
+
+/**
+ * Tensor storage at or above this many bytes is its own 2 MiB-aligned
+ * anonymous mapping advised MADV_HUGEPAGE before first touch, so a
+ * large embedding table sits on 2 MiB pages and a random row access
+ * costs one TLB entry per 2 MiB, not per 4 KiB. Below it storage comes
+ * from std::allocator as for any vector.
+ *
+ * 32 MiB is glibc malloc's largest dynamic mmap threshold on 64-bit:
+ * it serves every request this large from a fresh mmap of the same
+ * length, so taking them over adds no RSS. A smaller request may reuse
+ * freed heap memory instead, and a private mapping for it raises peak
+ * RSS (the serving replica's 3.9 MB interaction buffers added 3 MB of
+ * peak at a 2 MiB threshold).
+ *
+ * Under AddressSanitizer every allocation goes to std::allocator:
+ * ASan puts redzones only around heap blocks, so a table in a private
+ * mapping would lose the bounds checks the sanitizer build runs for.
+ */
+#if defined(__SANITIZE_ADDRESS__)
+inline constexpr std::size_t kMapThresholdBytes = ~std::size_t{0};
+#else
+inline constexpr std::size_t kMapThresholdBytes = std::size_t{32} << 20;
+#endif
+
+/** Map @p bytes as described above: kHugePageBytes-aligned, exactly
+ *  @p bytes rounded up to the base page long, zero-filled. Throws
+ *  std::bad_alloc when the mapping fails. */
+void* mapHugePages(std::size_t bytes);
+
+/** Release a mapping made by mapHugePages(@p bytes). */
+void unmapHugePages(void* p, std::size_t bytes);
+
+/** Tensor's storage allocator: std::allocator below
+ *  kMapThresholdBytes, mapHugePages at or above it. Stateless, so
+ *  moves stay O(1). */
+template <typename T>
+struct StorageAllocator
+{
+    using value_type = T;
+
+    StorageAllocator() = default;
+    template <typename U>
+    StorageAllocator(const StorageAllocator<U>&) {}
+
+    T* allocate(std::size_t n)
+    {
+        if (n * sizeof(T) < kMapThresholdBytes)
+            return std::allocator<T>().allocate(n);
+        return static_cast<T*>(mapHugePages(n * sizeof(T)));
+    }
+
+    void deallocate(T* p, std::size_t n)
+    {
+        if (n * sizeof(T) < kMapThresholdBytes)
+            std::allocator<T>().deallocate(p, n);
+        else
+            unmapHugePages(p, n * sizeof(T));
+    }
+
+    template <typename U>
+    bool operator==(const StorageAllocator<U>&) const { return true; }
+};
 
 /**
  * Owning, row-major FP32 tensor of rank 1 or 2.
@@ -114,7 +181,7 @@ class Tensor
   private:
     /** Storage; at least size() long (longer only after a shrinking
      *  resizeUninitialized). */
-    std::vector<float> data_;
+    std::vector<float, StorageAllocator<float>> data_;
     int rank_ = 1;
     std::size_t rows_ = 0;
     std::size_t cols_ = 1;

@@ -5,7 +5,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -128,6 +130,150 @@ TEST(Tensor, SameShape)
     EXPECT_TRUE(Tensor(2, 3).sameShape(Tensor(2, 3)));
     EXPECT_FALSE(Tensor(2, 3).sameShape(Tensor(3, 2)));
     EXPECT_FALSE(Tensor(6).sameShape(Tensor(2, 3)));
+}
+
+/** Elements in one tensor's storage at the mapping threshold, or 0
+ *  when the build keeps all storage on the heap (AddressSanitizer). */
+std::size_t
+mappedElements()
+{
+    return kMapThresholdBytes == ~std::size_t{0}
+        ? 0
+        : kMapThresholdBytes / sizeof(float);
+}
+
+/** Element i of the pattern the storage tests write. */
+float
+pattern(std::size_t i)
+{
+    return static_cast<float>(i % 1021) + 0.5f;
+}
+
+void
+fillPattern(Tensor& t)
+{
+    for (std::size_t i = 0; i < t.size(); ++i)
+        t[i] = pattern(i);
+}
+
+/** True iff t[0, n) holds pattern(i) and t[n, size()) holds 0. */
+bool
+holdsPatternThenZeros(const Tensor& t, std::size_t n)
+{
+    for (std::size_t i = 0; i < t.size(); ++i)
+        if (t[i] != (i < n ? pattern(i) : 0.0f))
+            return false;
+    return true;
+}
+
+TEST(TensorStorage, MapHugePagesIsAlignedWritableAndZeroed)
+{
+    for (const std::size_t bytes :
+         {kHugePageBytes, kHugePageBytes + 3, 3 * kHugePageBytes - 4096}) {
+        auto* p = static_cast<unsigned char*>(mapHugePages(bytes));
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % kHugePageBytes, 0u);
+        EXPECT_EQ(p[0], 0);
+        EXPECT_EQ(p[bytes - 1], 0);
+        p[0] = 1;
+        p[bytes - 1] = 2;
+        EXPECT_EQ(p[bytes - 1], 2);
+        unmapHugePages(p, bytes);
+    }
+}
+
+TEST(TensorStorage, LargeStorageIsHugePageAligned)
+{
+    const std::size_t n = mappedElements();
+    if (n == 0)
+        GTEST_SKIP() << "storage stays on the heap in this build";
+    Tensor t(n);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(t.data()) % kHugePageBytes,
+              0u);
+    Tensor m;
+    m.resize(2, n);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(m.data()) % kHugePageBytes,
+              0u);
+}
+
+TEST(TensorStorage, GrowthZeroFillsOnBothSidesOfTheThreshold)
+{
+    const std::size_t big = std::max<std::size_t>(mappedElements(), 4096);
+    for (const std::size_t n : {std::size_t{5}, big - 1, big, big + 7}) {
+        Tensor t(n);
+        EXPECT_TRUE(holdsPatternThenZeros(t, 0)) << n;
+        fillPattern(t);
+        t.resize(1, n + 3);
+        EXPECT_TRUE(holdsPatternThenZeros(t, 0)) << n;
+        fillPattern(t);
+        t.resize(n);
+        EXPECT_TRUE(holdsPatternThenZeros(t, 0)) << n;
+
+        // Growth past the storage keeps the prefix and zero-fills the rest.
+        Tensor u;
+        u.resizeUninitialized(1, 3);
+        fillPattern(u);
+        u.resizeUninitialized(1, n);
+        EXPECT_TRUE(holdsPatternThenZeros(u, 3)) << n;
+    }
+}
+
+TEST(TensorStorage, ContentsSurviveCopyMoveGrowAndShrink)
+{
+    const std::size_t big = std::max<std::size_t>(mappedElements(), 4096);
+    Tensor large(2, big / 2 + 1);
+    fillPattern(large);
+    Tensor small(3, 5);
+    fillPattern(small);
+
+    Tensor copy = large;
+    EXPECT_TRUE(holdsPatternThenZeros(copy, copy.size()));
+    EXPECT_TRUE(copy.sameShape(large));
+    const float* storage = copy.data();
+    Tensor moved = std::move(copy);
+    EXPECT_EQ(moved.data(), storage);
+    EXPECT_TRUE(holdsPatternThenZeros(moved, moved.size()));
+
+    // Heap to mapping and back through assignment.
+    Tensor t = small;
+    t = large;
+    EXPECT_TRUE(t.sameShape(large));
+    EXPECT_TRUE(holdsPatternThenZeros(t, t.size()));
+    t = small;
+    EXPECT_TRUE(t.sameShape(small));
+    EXPECT_TRUE(holdsPatternThenZeros(t, t.size()));
+
+    // Shrink below the threshold and grow back: the storage is kept,
+    // so the prefix survives both ways.
+    Tensor g = large;
+    g.resizeUninitialized(1, 15);
+    EXPECT_TRUE(holdsPatternThenZeros(g, 15));
+    g.resizeUninitialized(1, large.size());
+    EXPECT_TRUE(holdsPatternThenZeros(g, g.size()));
+    // Grow from the heap past the threshold.
+    Tensor h = small;
+    h.resizeUninitialized(1, big + 1);
+    EXPECT_TRUE(holdsPatternThenZeros(h, small.size()));
+}
+
+TEST(TensorStorage, EmptyTensorsCopyMoveAndGrow)
+{
+    Tensor a;
+    Tensor b(0);
+    Tensor c(0, 7);
+    EXPECT_EQ(a.size(), 0u);
+    EXPECT_EQ(b.size(), 0u);
+    EXPECT_EQ(c.size(), 0u);
+    c.fill(1.0f);
+    Tensor d = c;
+    EXPECT_TRUE(d.sameShape(c));
+    Tensor e = std::move(d);
+    EXPECT_EQ(e.size(), 0u);
+    e.resizeUninitialized(0, 0);
+    EXPECT_EQ(e.size(), 0u);
+    e.resize(4);
+    EXPECT_TRUE(holdsPatternThenZeros(e, 0));
+    e.resize(0);
+    EXPECT_EQ(e.size(), 0u);
 }
 
 class MatmulShapes
@@ -659,8 +805,10 @@ TEST(Matmul, EveryEntryPointBitwiseAtEveryTierAndThreadCount)
     };
     auto& pool = util::globalThreadPool();
     uint64_t seed = 40;
+    // The last shape is large enough (27 MFLOP) that the 4-thread
+    // pool runs its row chunks; the others run on the caller.
     for (const Shape& s : {Shape{21, 131, 71}, Shape{16, 259, 64},
-                           Shape{5, 129, 545}}) {
+                           Shape{5, 129, 545}, Shape{96, 259, 545}}) {
         const Tensor a = randomMatrix(s.m, s.k, ++seed);
         const Tensor b = randomMatrix(s.k, s.n, ++seed);
         const Tensor at = transposed(a), bt = transposed(b);
